@@ -6,7 +6,7 @@
      dune exec bench/main.exe -- quick    -- skip the slowest circuits
 
    Sections: table1 table2 figure2 figure3 ablation governor check
-   semantics optimize objective dataflow robdd batch serve timing
+   semantics optimize objective dataflow robdd batch timing
 
    Every run emits BENCH_<stamp>.json and BENCH_latest.json
    (Bench_report schema): per-section and per-run wall time, the
@@ -889,111 +889,6 @@ let batch_scaling quick =
   }
 
 (* ------------------------------------------------------------------ *)
-(* Serve: daemon cold/warm latency and cache hit rate                  *)
-(* ------------------------------------------------------------------ *)
-
-let serve_bench quick =
-  let circuits =
-    if quick then [ "rd53"; "sym6" ] else [ "rd53"; "sym6"; "maj9"; "parity12" ]
-  in
-  let path =
-    Printf.sprintf "%s/mfd-bench-%d.sock"
-      (Filename.get_temp_dir_name ())
-      (Unix.getpid ())
-  in
-  let endpoint = Server.Unix_socket path in
-  let ready = Atomic.make false in
-  let d =
-    Domain.spawn (fun () ->
-        Server.run
-          ~on_ready:(fun () -> Atomic.set ready true)
-          { (Server.default_config endpoint) with Server.jobs = 2 })
-  in
-  while not (Atomic.get ready) do
-    Unix.sleepf 0.002
-  done;
-  let c = Client.connect endpoint in
-  let submit name =
-    let t0 = Mono.now () in
-    match
-      Client.call c
-        (Proto.Run
-           {
-             Proto.source = Proto.Target name;
-             lut_size = 5;
-             algorithm = Mulop.Mulop_dc;
-             effort = None;
-             timeout = None;
-             node_budget = None;
-             checks = Diagnostic.Off;
-             verify = false;
-           })
-    with
-    | Ok (Proto.Ok_run (_, r)) -> (Mono.now () -. t0, r)
-    | Ok (Proto.Err { message; _ }) -> failwith (name ^ ": " ^ message)
-    | Ok _ -> failwith (name ^ ": unexpected response")
-    | Error msg -> failwith (name ^ ": " ^ msg)
-  in
-  let rows = ref [] and runs = ref [] in
-  List.iter
-    (fun name ->
-      let cold, r1 = submit name in
-      let warm, r2 = submit name in
-      assert (not r1.Proto.cached);
-      assert r2.Proto.cached;
-      assert (r1.Proto.blif = r2.Proto.blif);
-      runs :=
-        mk_run ~stable:false ~algorithm:"serve" ~wall:cold ~alloc:0.0
-          ~stats:(Stats.create ()) ~luts:r1.Proto.luts ~clbs:r1.Proto.clbs
-          name
-        :: !runs;
-      rows :=
-        row name
-          [
-            ("cold", R.Millis (cold *. 1e3));
-            ("warm", R.Millis (warm *. 1e3));
-            ("speedup", R.Float (cold /. Float.max 1e-9 warm));
-          ]
-        :: !rows)
-    circuits;
-  let server_note =
-    match Client.call c Proto.Stats with
-    | Ok (Proto.Ok_stats (_, s)) ->
-        [
-          Printf.sprintf
-            "server: %d jobs, %d cache hit(s) / %d miss(es) (%.0f%% hit \
-             rate), %d entries, %d bytes"
-            s.Proto.jobs_served s.Proto.result_hits s.Proto.result_misses
-            (100.0
-            *. float_of_int s.Proto.result_hits
-            /. float_of_int
-                 (max 1 (s.Proto.result_hits + s.Proto.result_misses)))
-            s.Proto.cache_entries s.Proto.cache_bytes;
-        ]
-    | _ -> []
-  in
-  ignore (Client.call c Proto.Shutdown);
-  Client.close c;
-  Domain.join d;
-  {
-    title = "Serve: daemon cold/warm latency and cache hit rate";
-    command = "dune exec bench/main.exe -- serve";
-    columns = [ "circuit"; "cold"; "warm"; "speedup" ];
-    rows = List.rev !rows;
-    runs = List.rev !runs;
-    notes =
-      [
-        "an in-process `mfd serve` daemon on a Unix socket: every circuit \
-         is submitted twice over the same connection; the first pass fills \
-         the cross-request result cache (keyed on canonical function \
-         fingerprints), the second must be answered from the cache, so the \
-         warm latency is pure protocol + lookup cost; latency rows are \
-         load-dependent and excluded from gating";
-      ]
-      @ server_note;
-  }
-
-(* ------------------------------------------------------------------ *)
 (* Bechamel timing benches: one Test.make per table / figure           *)
 (* ------------------------------------------------------------------ *)
 
@@ -1315,7 +1210,6 @@ let all_sections =
     ("dataflow", dataflow_bench);
     ("robdd", robdd);
     ("batch", batch_scaling);
-    ("serve", serve_bench);
     ("timing", timing);
   ]
 
@@ -1334,7 +1228,7 @@ let usage () =
     "usage: bench [SECTION...] [quick] [--out DIR] [--against FILE]\n\
     \             [--max-regress PCT] [--json] [--render-md [FILE]]\n\
      sections: table1 table2 figure2 figure3 ablation governor check\n\
-    \          semantics optimize objective dataflow robdd batch serve timing";
+    \          semantics optimize objective dataflow robdd batch timing";
   exit 2
 
 let parse_cli () =

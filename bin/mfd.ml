@@ -19,13 +19,38 @@ let algorithm_conv =
   in
   Arg.conv (parse, fun fmt a -> Format.pp_print_string fmt (Mulop.algorithm_name a))
 
+(* The one input-error path of every command: a file that cannot be
+   read or parsed, or an unknown benchmark name, becomes [Bad_input]
+   carrying a message that names the file actually at fault, as
+   [path:line: msg] for syntax errors. *)
+exception Bad_input of string
+
+let read parse path =
+  match parse path with
+  | v -> v
+  | exception Sys_error msg -> raise (Bad_input msg)
+  | exception (Blif.Parse_error (line, msg) | Pla.Parse_error (line, msg)) ->
+      raise (Bad_input (Printf.sprintf "%s:%d: %s" path line msg))
+
+let read_blif = read Blif.parse_file
+let read_pla = read Pla.parse_file
+
+(* Run [f]; on a bad input, or an output file that cannot be written,
+   print the message on stderr and exit with [code]. *)
+let exit_on_file_error ~code f =
+  match f () with
+  | v -> v
+  | exception (Bad_input msg | Sys_error msg) ->
+      prerr_endline msg;
+      exit code
+
 let load_spec m path_or_name =
   if Filename.check_suffix path_or_name ".blif" then begin
-    let net = Blif.parse_file path_or_name in
+    let net = read_blif path_or_name in
     (Randnet.spec_of_network m net, Filename.basename path_or_name)
   end
   else if Filename.check_suffix path_or_name ".pla" then begin
-    let pla = Pla.parse_file path_or_name in
+    let pla = read_pla path_or_name in
     let isfs = Pla.to_isfs m ~var_of_column:(fun k -> k) pla in
     ( { Driver.input_names = pla.Pla.input_names; functions = isfs },
       Filename.basename path_or_name )
@@ -33,9 +58,14 @@ let load_spec m path_or_name =
   else begin
     match Mcnc.find path_or_name with
     | entry -> (entry.Mcnc.build m, entry.Mcnc.name)
-    | exception Not_found ->
-        let build = List.assoc path_or_name Extra.catalogue in
-        (build m, path_or_name)
+    | exception Not_found -> (
+        match List.assoc_opt path_or_name Extra.catalogue with
+        | Some build -> (build m, path_or_name)
+        | None ->
+            raise
+              (Bad_input
+                 (Printf.sprintf "unknown benchmark %S (try `mfd list`)"
+                    path_or_name)))
   end
 
 let check_conv =
@@ -103,6 +133,19 @@ let objective_arg =
            order, so $(b,delay) never produces a deeper network than \
            $(b,area).")
 
+let algorithm_arg =
+  Arg.(
+    value
+    & opt algorithm_conv Mulop.Mulop_dc
+    & info [ "a"; "algorithm" ] ~docv:"ALGO"
+        ~doc:"One of $(b,mulopII), $(b,mulop-dc), $(b,mulop-dcII).")
+
+let lut_size_arg =
+  Arg.(
+    value
+    & opt int Config.default.Config.lut_size
+    & info [ "k"; "lut-size" ] ~docv:"K" ~doc:"LUT input count (2 for gates).")
+
 let timeout_arg =
   Arg.(
     value
@@ -149,19 +192,6 @@ let run_cmd =
             "Benchmark name (see $(b,mfd list)), a .blif file, or a .pla \
              file.")
   in
-  let algorithm =
-    Arg.(
-      value
-      & opt algorithm_conv Mulop.Mulop_dc
-      & info [ "a"; "algorithm" ] ~docv:"ALGO"
-          ~doc:"One of $(b,mulopII), $(b,mulop-dc), $(b,mulop-dcII).")
-  in
-  let lut_size =
-    Arg.(
-      value
-      & opt int Config.default.Config.lut_size
-      & info [ "k"; "lut-size" ] ~docv:"K" ~doc:"LUT input count (2 for gates).")
-  in
   let out_blif =
     Arg.(
       value
@@ -203,88 +233,77 @@ let run_cmd =
     setup_logs verbose;
     let run_stats = Stats.create () in
     let m = Bdd.manager () in
-    match load_spec m target with
-    | exception Not_found ->
-        Printf.eprintf "unknown benchmark %S (try `mfd list`)\n" target;
-        exit 1
-    | exception Sys_error msg ->
-        Printf.eprintf "%s\n" msg;
-        exit 1
-    | exception Blif.Parse_error (line, msg) ->
-        Printf.eprintf "%s:%d: %s\n" target line msg;
-        exit 1
-    | exception Pla.Parse_error (line, msg) ->
-        Printf.eprintf "%s:%d: %s\n" target line msg;
-        exit 1
-    | spec, name ->
-        let budget = make_budget timeout node_budget effort ~stats:run_stats () in
-        let outcome, wall, alloc =
-          Bench_report.measure (fun () ->
-              Mulop.run ~lut_size ~objective ~budget ~checks ~stats:run_stats
-                m algorithm spec)
-        in
-        let verified =
-          if verify then Some (Driver.verify m spec outcome.Mulop.network)
-          else None
-        in
-        (match out_blif with
-        | Some path -> Blif.write_file ~model:name path outcome.Mulop.network
-        | None -> ());
-        (match out_dot with
-        | Some path ->
-            let oc = open_out path in
-            output_string oc (Network.to_dot outcome.Mulop.network);
-            close_out oc
-        | None -> ());
-        if json then begin
-          (* budgeted runs are wall-clock-governed, so their counters are
-             not reproducible: mark them unstable for baseline diffing *)
-          let r =
-            {
-              Bench_report.name;
-              algorithm = Mulop.algorithm_name algorithm;
-              stable = timeout = None && node_budget = None;
-              wall;
-              alloc_bytes = alloc;
-              luts = Some outcome.Mulop.lut_count;
-              clbs = Some outcome.Mulop.clb_count;
-              depth = Some outcome.Mulop.depth;
-              bdd_nodes = Some (Bdd.node_count m);
-              stats = run_stats;
-            }
-          in
-          print_endline
-            (Json.to_string
-               (Json.Obj
-                  ([
-                     ("bench_schema", Json.int Bench_report.schema_version);
-                     ("run", Bench_report.run_to_json r);
-                   ]
-                  @
-                  match verified with
-                  | None -> []
-                  | Some ok -> [ ("verified", Json.Bool ok) ])));
-          if verified = Some false then exit 1;
-          if Diagnostic.errors outcome.Mulop.findings <> [] then exit 1
-        end
-        else begin
-          Format.printf "%s: %a@." name Mulop.pp_outcome outcome;
-          if stats then Format.printf "%a@." Stats.pp run_stats;
-          (match verified with
-          | Some true ->
-              Format.printf "verify: OK (network realizes the specification)@."
-          | Some false ->
-              Format.printf "verify: FAILED@.";
-              exit 1
-          | None -> ());
-          report_findings outcome.Mulop.findings
-        end
+    let spec, name =
+      exit_on_file_error ~code:1 (fun () -> load_spec m target)
+    in
+    let budget = make_budget timeout node_budget effort ~stats:run_stats () in
+    let outcome, wall, alloc =
+      Bench_report.measure (fun () ->
+          Mulop.run ~lut_size ~objective ~budget ~checks ~stats:run_stats
+            m algorithm spec)
+    in
+    let verified =
+      if verify then Some (Driver.verify m spec outcome.Mulop.network)
+      else None
+    in
+    (match out_blif with
+    | Some path -> Blif.write_file ~model:name path outcome.Mulop.network
+    | None -> ());
+    (match out_dot with
+    | Some path ->
+        let oc = open_out path in
+        output_string oc (Network.to_dot outcome.Mulop.network);
+        close_out oc
+    | None -> ());
+    if json then begin
+      (* budgeted runs are wall-clock-governed, so their counters are
+         not reproducible: mark them unstable for baseline diffing *)
+      let r =
+        {
+          Bench_report.name;
+          algorithm = Mulop.algorithm_name algorithm;
+          stable = timeout = None && node_budget = None;
+          wall;
+          alloc_bytes = alloc;
+          luts = Some outcome.Mulop.lut_count;
+          clbs = Some outcome.Mulop.clb_count;
+          depth = Some outcome.Mulop.depth;
+          bdd_nodes = Some (Bdd.node_count m);
+          stats = run_stats;
+        }
+      in
+      print_endline
+        (Json.to_string
+           (Json.Obj
+              ([
+                 ("bench_schema", Json.int Bench_report.schema_version);
+                 ("run", Bench_report.run_to_json r);
+               ]
+              @
+              match verified with
+              | None -> []
+              | Some ok -> [ ("verified", Json.Bool ok) ])));
+      if verified = Some false then exit 1;
+      if Diagnostic.errors outcome.Mulop.findings <> [] then exit 1
+    end
+    else begin
+      Format.printf "%s: %a@." name Mulop.pp_outcome outcome;
+      if stats then Format.printf "%a@." Stats.pp run_stats;
+      (match verified with
+      | Some true ->
+          Format.printf "verify: OK (network realizes the specification)@."
+      | Some false ->
+          Format.printf "verify: FAILED@.";
+          exit 1
+      | None -> ());
+      report_findings outcome.Mulop.findings
+    end
   in
   Cmd.v
     (Cmd.info "run" ~doc:"Decompose a benchmark or file into a LUT network.")
     Term.(
-      const run $ target $ algorithm $ lut_size $ objective_arg $ out_blif
-      $ out_dot $ verify $ verbose $ stats $ json $ check_arg $ timeout_arg
+      const run $ target $ algorithm_arg $ lut_size_arg $ objective_arg
+      $ out_blif $ out_dot $ verify $ verbose $ stats $ json $ check_arg $ timeout_arg
       $ node_budget_arg $ effort_arg)
 
 let list_cmd =
@@ -311,12 +330,6 @@ let compare_cmd =
       & pos 0 (some string) None
       & info [] ~docv:"TARGET" ~doc:"Benchmark name, .blif or .pla file.")
   in
-  let lut_size =
-    Arg.(
-      value
-      & opt int Config.default.Config.lut_size
-      & info [ "k"; "lut-size" ] ~docv:"K" ~doc:"LUT inputs.")
-  in
   let stats =
     Arg.(
       value & flag
@@ -326,48 +339,37 @@ let compare_cmd =
       effort =
     setup_logs false;
     let m = Bdd.manager () in
-    match load_spec m target with
-    | exception Not_found ->
-        Printf.eprintf "unknown benchmark %S\n" target;
-        exit 1
-    | exception Sys_error msg ->
-        Printf.eprintf "%s\n" msg;
-        exit 1
-    | exception Blif.Parse_error (line, msg) ->
-        Printf.eprintf "%s:%d: %s\n" target line msg;
-        exit 1
-    | exception Pla.Parse_error (line, msg) ->
-        Printf.eprintf "%s:%d: %s\n" target line msg;
-        exit 1
-    | spec, name ->
-        Format.printf "%s (lut size %d%s):@." name lut_size
-          (match objective with
-          | Cost.Area -> ""
-          | o -> ", objective " ^ Cost.objective_name o);
-        let all_findings = ref [] in
-        List.iter
-          (fun alg ->
-            let run_stats = Stats.create () in
-            let budget =
-              make_budget timeout node_budget effort ~stats:run_stats ()
-            in
-            let o =
-              Mulop.run ~lut_size ~objective ~budget ~checks ~stats:run_stats
-                m alg spec
-            in
-            Format.printf "  %a@." Mulop.pp_outcome o;
-            if stats then Format.printf "  %a@." Stats.pp run_stats;
-            if o.Mulop.findings <> [] then
-              Format.printf "  %a@." Diagnostic.pp_list o.Mulop.findings;
-            all_findings := !all_findings @ o.Mulop.findings)
-          [ Mulop.Mulop_ii; Mulop.Mulop_dc; Mulop.Mulop_dc_ii ];
-        if Diagnostic.errors !all_findings <> [] then exit 1
+    let spec, name =
+      exit_on_file_error ~code:1 (fun () -> load_spec m target)
+    in
+    Format.printf "%s (lut size %d%s):@." name lut_size
+      (match objective with
+      | Cost.Area -> ""
+      | o -> ", objective " ^ Cost.objective_name o);
+    let all_findings = ref [] in
+    List.iter
+      (fun alg ->
+        let run_stats = Stats.create () in
+        let budget =
+          make_budget timeout node_budget effort ~stats:run_stats ()
+        in
+        let o =
+          Mulop.run ~lut_size ~objective ~budget ~checks ~stats:run_stats
+            m alg spec
+        in
+        Format.printf "  %a@." Mulop.pp_outcome o;
+        if stats then Format.printf "  %a@." Stats.pp run_stats;
+        if o.Mulop.findings <> [] then
+          Format.printf "  %a@." Diagnostic.pp_list o.Mulop.findings;
+        all_findings := !all_findings @ o.Mulop.findings)
+      [ Mulop.Mulop_ii; Mulop.Mulop_dc; Mulop.Mulop_dc_ii ];
+    if Diagnostic.errors !all_findings <> [] then exit 1
   in
   Cmd.v
     (Cmd.info "compare"
        ~doc:"Run all three algorithms on one target and compare counts.")
     Term.(
-      const compare $ target $ lut_size $ objective_arg $ stats $ check_arg
+      const compare $ target $ lut_size_arg $ objective_arg $ stats $ check_arg
       $ timeout_arg $ node_budget_arg $ effort_arg)
 
 let batch_cmd =
@@ -388,19 +390,6 @@ let batch_cmd =
             "Worker domains.  Each job runs on its own BDD manager, budget \
              and stats, so results are identical for any $(docv); the pool \
              is clamped to the job count.")
-  in
-  let algorithm =
-    Arg.(
-      value
-      & opt algorithm_conv Mulop.Mulop_dc
-      & info [ "a"; "algorithm" ] ~docv:"ALGO"
-          ~doc:"One of $(b,mulopII), $(b,mulop-dc), $(b,mulop-dcII).")
-  in
-  let lut_size =
-    Arg.(
-      value
-      & opt int Config.default.Config.lut_size
-      & info [ "k"; "lut-size" ] ~docv:"K" ~doc:"LUT inputs.")
   in
   let json =
     Arg.(
@@ -430,33 +419,20 @@ let batch_cmd =
         then Filename.basename target
         else target
       in
-      (* Structured rejection kinds: the report (and the serve protocol)
-         distinguish a client's bad input from an engine fault. *)
+      (* A bad input is the client's error, not an engine fault: the
+         report files it under its own kind. *)
       Batch.job ~name (fun m ->
           match load_spec m target with
           | spec, _ -> spec
-          | exception Not_found ->
-              raise
-                (Batch.Job_rejected
-                   ( Batch.Parse_error,
-                     Printf.sprintf "unknown benchmark %S" target ))
-          | exception Blif.Parse_error (line, msg) ->
-              raise
-                (Batch.Job_rejected
-                   ( Batch.Parse_error,
-                     Printf.sprintf "%s:%d: %s" target line msg ))
-          | exception Pla.Parse_error (line, msg) ->
-              raise
-                (Batch.Job_rejected
-                   ( Batch.Parse_error,
-                     Printf.sprintf "%s:%d: %s" target line msg )))
+          | exception Bad_input msg ->
+              raise (Batch.Job_rejected (Batch.Parse_error, msg)))
     in
     let report =
       Batch.run ~jobs ~lut_size ~objective ~algorithm ?timeout ?node_budget
         ?effort ~checks ~verify
         (List.map job_of targets)
     in
-    if json then print_string (Batch.to_json report)
+    if json then print_endline (Batch.to_json report)
     else Format.printf "%a@." (Batch.pp_text ~stats) report;
     let verify_failed =
       List.exists
@@ -494,9 +470,9 @@ let batch_cmd =
                raised, or verification failed.";
          ])
     Term.(
-      const batch $ targets $ jobs $ algorithm $ lut_size $ objective_arg
-      $ json $ verify
-      $ stats $ check_arg $ timeout_arg $ node_budget_arg $ effort_arg)
+      const batch $ targets $ jobs $ algorithm_arg $ lut_size_arg
+      $ objective_arg $ json $ verify $ stats $ check_arg $ timeout_arg
+      $ node_budget_arg $ effort_arg)
 
 let lint_cmd =
   let target =
@@ -569,29 +545,6 @@ let lint_cmd =
           ~doc:"Wall-clock budget for the exact semantic engine under \
                 $(b,--deep).")
   in
-  let no_sat =
-    Arg.(
-      value & flag
-      & info [ "no-sat" ]
-          ~doc:
-            "Disable the windowed SAT fallback under $(b,--deep): when \
-             the exact engine's budget runs out the analysis is \
-             truncated ($(b,SEM008)) instead of completed through \
-             windows.  Mainly useful to compare the two engines.")
-  in
-  let no_dataflow =
-    Arg.(
-      value & flag
-      & info [ "no-dataflow" ]
-          ~doc:
-            "Disable the dataflow screening tier under $(b,--deep).  The \
-             cheap abstract-interpretation analyses still run (their \
-             $(b,SUP*) findings are part of the report either way), but \
-             their facts no longer let the exact and SAT engines skip \
-             work.  Findings are identical with and without this flag — \
-             only the cost differs — so it exists to measure what the \
-             screening saves.")
-  in
   let sem_steps =
     Arg.(
       value
@@ -605,7 +558,7 @@ let lint_cmd =
              makes reports reproducible and comparable.")
   in
   let lint target lut_size json codes no_style deep sem_nodes sem_timeout
-      no_sat no_dataflow sem_steps =
+      sem_steps =
     setup_logs false;
     if codes then begin
       List.iter
@@ -629,7 +582,7 @@ let lint_cmd =
     let style = not no_style in
     let analyze () =
       if Filename.check_suffix target ".blif" then begin
-        let net = Blif.parse_file target in
+        let net = read_blif target in
         let structural = Net_check.analyze ?lut_size ~style net in
         if deep && Diagnostic.errors structural = [] then begin
           (* The semantic passes need a traversable network and global
@@ -648,77 +601,73 @@ let lint_cmd =
             | None ->
                 Careflow.limiter ~max_nodes:sem_nodes ~timeout:sem_timeout m ()
           in
-          let report =
-            Semantics.analyze_report ~sat_fallback:(not no_sat)
-              ~dataflow:(not no_dataflow) ~check m ~var_of_input net
-          in
+          let report = Semantics.analyze_report ~check m ~var_of_input net in
           (structural @ report.Semantics.findings, Some report.Semantics.coverage)
         end
         else (structural, None)
       end
       else if Filename.check_suffix target ".pla" then
-        let pla = Pla.parse_file target in
+        let pla = read_pla target in
         (Pla_check.analyze (Bdd.manager ()) pla, None)
       else begin
         Printf.eprintf "mfd lint: %s: expected a .blif or .pla file\n" target;
         exit 3
       end
     in
-    match analyze () with
-    | exception Sys_error msg ->
-        Printf.eprintf "%s\n" msg;
-        exit 3
-    | exception Blif.Parse_error (line, msg) ->
-        Printf.eprintf "%s:%d: %s\n" target line msg;
-        exit 3
-    | exception Pla.Parse_error (line, msg) ->
-        Printf.eprintf "%s:%d: %s\n" target line msg;
-        exit 3
-    | findings, coverage ->
-        (* Analyzer coverage rides along so a script can tell a clean
-           report from a mostly-skipped one. *)
-        let extra =
-          match coverage with
-          | None -> []
-          | Some c ->
-              [
-                ( "coverage",
-                  Printf.sprintf
-                    "{\"exact_nodes\":%d,\"windowed_nodes\":%d,\
-                     \"truncated_nodes\":%d,\"total_nodes\":%d,\
-                     \"sat_calls\":%d,\"sat_conflicts\":%d,\
-                     \"windows_built\":%d,\
-                     \"dataflow\":{\"nodes\":%d,\"iterations\":%d,\
-                     \"facts\":%d,\"screened_out\":%d},\
-                     \"wall\":{\"dataflow\":%.6f,\"exact\":%.6f,\
-                     \"sat\":%.6f}}"
-                    c.Semantics.exact_nodes c.Semantics.windowed_nodes
-                    c.Semantics.truncated_nodes c.Semantics.total_nodes
-                    c.Semantics.sat_calls c.Semantics.sat_conflicts
-                    c.Semantics.windows_built c.Semantics.dataflow_nodes
-                    c.Semantics.df_iterations c.Semantics.df_facts
-                    c.Semantics.screened_out c.Semantics.wall_dataflow
-                    c.Semantics.wall_exact c.Semantics.wall_sat );
-              ]
-        in
-        if json then print_string (Diagnostic.to_json ~extra findings)
-        else begin
-          Format.printf "%a@." Diagnostic.pp_list findings;
-          match coverage with
-          | Some c ->
-              Format.printf
-                "analyzer coverage: %d/%d node(s) exact, %d via windows, %d \
-                 truncated@."
-                c.Semantics.exact_nodes c.Semantics.total_nodes
-                c.Semantics.windowed_nodes c.Semantics.truncated_nodes;
-              Format.printf
-                "dataflow tier: %d fact(s) over %d node(s) in %d \
-                 iteration(s), %d work unit(s) screened@."
-                c.Semantics.df_facts c.Semantics.dataflow_nodes
-                c.Semantics.df_iterations c.Semantics.screened_out
-          | None -> ()
-        end;
-        exit (Diagnostic.exit_code findings)
+    let findings, coverage = exit_on_file_error ~code:3 analyze in
+    (* Analyzer coverage rides along so a script can tell a clean
+       report from a mostly-skipped one. *)
+    let extra =
+      match coverage with
+      | None -> []
+      | Some c ->
+          [
+            ( "coverage",
+              Json.Obj
+                [
+                  ("exact_nodes", Json.int c.Semantics.exact_nodes);
+                  ("windowed_nodes", Json.int c.Semantics.windowed_nodes);
+                  ("truncated_nodes", Json.int c.Semantics.truncated_nodes);
+                  ("total_nodes", Json.int c.Semantics.total_nodes);
+                  ("sat_calls", Json.int c.Semantics.sat_calls);
+                  ("sat_conflicts", Json.int c.Semantics.sat_conflicts);
+                  ("windows_built", Json.int c.Semantics.windows_built);
+                  ( "dataflow",
+                    Json.Obj
+                      [
+                        ("nodes", Json.int c.Semantics.dataflow_nodes);
+                        ("iterations", Json.int c.Semantics.df_iterations);
+                        ("facts", Json.int c.Semantics.df_facts);
+                        ("screened_out", Json.int c.Semantics.screened_out);
+                      ] );
+                  ( "wall",
+                    Json.Obj
+                      [
+                        ("dataflow", Json.Num c.Semantics.wall_dataflow);
+                        ("exact", Json.Num c.Semantics.wall_exact);
+                        ("sat", Json.Num c.Semantics.wall_sat);
+                      ] );
+                ] );
+          ]
+    in
+    if json then print_endline (Diagnostic.to_json ~extra findings)
+    else begin
+      Format.printf "%a@." Diagnostic.pp_list findings;
+      match coverage with
+      | Some c ->
+          Format.printf
+            "analyzer coverage: %d/%d node(s) exact, %d via windows, %d \
+             truncated@."
+            c.Semantics.exact_nodes c.Semantics.total_nodes
+            c.Semantics.windowed_nodes c.Semantics.truncated_nodes;
+          Format.printf
+            "dataflow tier: %d fact(s) over %d node(s) in %d \
+             iteration(s), %d work unit(s) screened@."
+            c.Semantics.df_facts c.Semantics.dataflow_nodes
+            c.Semantics.df_iterations c.Semantics.screened_out
+      | None -> ()
+    end;
+    exit (Diagnostic.exit_code findings)
   in
   Cmd.v
     (Cmd.info "lint"
@@ -734,7 +683,7 @@ let lint_cmd =
          ])
     Term.(
       const lint $ target $ lut_size $ json $ codes $ no_style $ deep
-      $ sem_nodes $ sem_timeout $ no_sat $ no_dataflow $ sem_steps)
+      $ sem_nodes $ sem_timeout $ sem_steps)
 
 let audit_cmd =
   let golden =
@@ -785,8 +734,8 @@ let audit_cmd =
     setup_logs false;
     let m = Bdd.manager () in
     let run () =
-      let g_net = Blif.parse_file golden in
-      let c_net = Blif.parse_file candidate in
+      let g_net = read_blif golden in
+      let c_net = read_blif candidate in
       (* Both networks must be structurally sound before their global
          functions can be built. *)
       List.iter
@@ -828,7 +777,7 @@ let audit_cmd =
               match pla with
               | None -> None
               | Some path ->
-                  let p = Pla.parse_file path in
+                  let p = read_pla path in
                   List.iter bind p.Pla.input_names;
                   let cols = Array.of_list p.Pla.input_names in
                   let isfs =
@@ -849,19 +798,22 @@ let audit_cmd =
             let missing = union_outputs - List.length common_outputs in
             let refuted = List.length findings - missing in
             ( findings,
-              Printf.sprintf
-                "{\"engine\":\"bdd\",\"outputs_checked\":%d,\
-                 \"outputs_proved\":%d,\"outputs_refuted\":%d,\
-                 \"outputs_unknown\":0,\"outputs_missing\":%d}"
-                union_outputs
-                (List.length common_outputs - refuted)
-                refuted missing )
+              Json.Obj
+                [
+                  ("engine", Json.Str "bdd");
+                  ("outputs_checked", Json.int union_outputs);
+                  ( "outputs_proved",
+                    Json.int (List.length common_outputs - refuted) );
+                  ("outputs_refuted", Json.int refuted);
+                  ("outputs_unknown", Json.int 0);
+                  ("outputs_missing", Json.int missing);
+                ] )
         | `Sat ->
             let dc_cubes_of_output =
               match pla with
               | None -> None
               | Some path ->
-                  let p = Pla.parse_file path in
+                  let p = read_pla path in
                   (match p.Pla.kind with
                   | `F | `Fd -> ()
                   | `Fr | `Fdr ->
@@ -907,18 +859,21 @@ let audit_cmd =
                 (List.rev_map fst !inputs)
             in
             ( a.Semantics.audit_findings,
-              Printf.sprintf
-                "{\"engine\":\"sat\",\"outputs_checked\":%d,\
-                 \"outputs_proved\":%d,\"outputs_refuted\":%d,\
-                 \"outputs_unknown\":%d,\"outputs_missing\":%d,\
-                 \"sat_calls\":%d,\"sat_conflicts\":%d}"
-                union_outputs a.Semantics.outputs_proved
-                a.Semantics.outputs_refuted a.Semantics.outputs_unknown
-                (union_outputs - List.length common_outputs)
-                a.Semantics.audit_sat_calls a.Semantics.audit_sat_conflicts )
+              Json.Obj
+                [
+                  ("engine", Json.Str "sat");
+                  ("outputs_checked", Json.int union_outputs);
+                  ("outputs_proved", Json.int a.Semantics.outputs_proved);
+                  ("outputs_refuted", Json.int a.Semantics.outputs_refuted);
+                  ("outputs_unknown", Json.int a.Semantics.outputs_unknown);
+                  ( "outputs_missing",
+                    Json.int (union_outputs - List.length common_outputs) );
+                  ("sat_calls", Json.int a.Semantics.audit_sat_calls);
+                  ("sat_conflicts", Json.int a.Semantics.audit_sat_conflicts);
+                ] )
       in
       if json then
-        print_string
+        print_endline
           (Diagnostic.to_json ~extra:[ ("coverage", coverage) ] findings)
       else if findings = [] then
         Format.printf "equivalent%s@."
@@ -926,19 +881,7 @@ let audit_cmd =
       else Format.printf "%a@." Diagnostic.pp_list findings;
       exit (if findings = [] then 0 else 1)
     in
-    match run () with
-    | exception Sys_error msg ->
-        Printf.eprintf "%s\n" msg;
-        exit 3
-    | exception Blif.Parse_error (line, msg) ->
-        Printf.eprintf "%s: %d: %s\n" golden line msg;
-        exit 3
-    | exception Pla.Parse_error (line, msg) ->
-        Printf.eprintf "%s: %d: %s\n"
-          (Option.value ~default:"spec" pla)
-          line msg;
-        exit 3
-    | () -> ()
+    exit_on_file_error ~code:3 run
   in
   Cmd.v
     (Cmd.info "audit"
@@ -1023,23 +966,11 @@ let optimize_cmd =
       & info [ "stats" ]
           ~doc:"Print analysis statistics (SAT calls, windows) after the run.")
   in
-  let no_dataflow =
-    Arg.(
-      value & flag
-      & info [ "no-dataflow" ]
-          ~doc:
-            "Disable the dataflow screening tier: the exact and SAT \
-             analyses do all their own work instead of skipping what the \
-             cheap abstract-interpretation facts already decided.  Every \
-             screen is fact-justified and each candidate is audited \
-             either way, so this only trades speed for nothing — it \
-             exists to measure the screening.")
-  in
-  let optimize target pla out_blif passes engine json stats no_dataflow =
+  let optimize target pla out_blif passes engine json stats =
     setup_logs false;
     let m = Bdd.manager () in
     let run () =
-      let net = Blif.parse_file target in
+      let net = read_blif target in
       let errors = Diagnostic.errors (Net_check.analyze ~style:false net) in
       if errors <> [] then begin
         Printf.eprintf "mfd optimize: %s is structurally broken:\n" target;
@@ -1052,7 +983,7 @@ let optimize_cmd =
         match pla with
         | None -> None
         | Some path ->
-            let p = Pla.parse_file path in
+            let p = read_pla path in
             let index_of =
               let tbl = Hashtbl.create 16 in
               List.iteri
@@ -1085,7 +1016,7 @@ let optimize_cmd =
       let run_stats = Stats.create () in
       let o =
         Optimize.run ?care_of_output ~max_passes:passes ~audit_engine:engine
-          ~dataflow:(not no_dataflow) ~stats:run_stats m net
+          ~stats:run_stats m net
       in
       (match out_blif with
       | Some path ->
@@ -1102,19 +1033,6 @@ let optimize_cmd =
               ("detail", Json.Str a.Optimize.detail);
             ]
         in
-        let finding (f : Diagnostic.t) =
-          Json.Obj
-            [
-              ("code", Json.Str f.Diagnostic.code);
-              ( "severity",
-                Json.Str (Diagnostic.severity_name f.Diagnostic.severity) );
-              ( "loc",
-                match f.Diagnostic.loc with
-                | Some l -> Json.Str l
-                | None -> Json.Null );
-              ("message", Json.Str f.Diagnostic.message);
-            ]
-        in
         print_endline
           (Json.to_string
              (Json.Obj
@@ -1129,7 +1047,8 @@ let optimize_cmd =
                   ("actions", Json.Arr (List.map action o.Optimize.actions));
                   ("equivalent", Json.Bool (o.Optimize.audit = []));
                   ( "findings",
-                    Json.Arr (List.map finding o.Optimize.audit) );
+                    Json.Arr (List.map Diagnostic.finding_json o.Optimize.audit)
+                  );
                 ]))
       end
       else begin
@@ -1158,18 +1077,7 @@ let optimize_cmd =
       end;
       exit (if o.Optimize.audit = [] then 0 else 1)
     in
-    match run () with
-    | exception Sys_error msg ->
-        Printf.eprintf "%s\n" msg;
-        exit 3
-    | exception Blif.Parse_error (line, msg) ->
-        Printf.eprintf "%s:%d: %s\n" target line msg;
-        exit 3
-    | exception Pla.Parse_error (line, msg) ->
-        Printf.eprintf "%s: %d: %s\n" (Option.value ~default:"spec" pla) line
-          msg;
-        exit 3
-    | () -> ()
+    exit_on_file_error ~code:3 run
   in
   Cmd.v
     (Cmd.info "optimize"
@@ -1198,314 +1106,7 @@ let optimize_cmd =
                input network.";
          ])
     Term.(
-      const optimize $ target $ pla $ out_blif $ passes $ engine $ json $ stats
-      $ no_dataflow)
-
-(* ---- the daemon and its client ---- *)
-
-let socket_arg =
-  Arg.(
-    value
-    & opt (some string) None
-    & info [ "socket" ] ~docv:"PATH" ~doc:"Unix domain socket of the daemon.")
-
-let port_arg =
-  Arg.(
-    value
-    & opt (some int) None
-    & info [ "port" ] ~docv:"N" ~doc:"TCP port of the daemon.")
-
-let host_arg =
-  Arg.(
-    value & opt string "127.0.0.1"
-    & info [ "host" ] ~docv:"HOST" ~doc:"TCP host (with $(b,--port)).")
-
-let endpoint_of socket port host =
-  match (socket, port) with
-  | Some path, _ -> Server.Unix_socket path
-  | None, Some p -> Server.Tcp (host, p)
-  | None, None ->
-      prerr_endline "mfd: need --socket PATH or --port N";
-      exit 2
-
-let serve_cmd =
-  let jobs =
-    Arg.(
-      value & opt int 2
-      & info [ "j"; "jobs" ] ~docv:"N" ~doc:"Worker domains decomposing jobs.")
-  in
-  let queue_depth =
-    Arg.(
-      value & opt int 16
-      & info [ "queue-depth" ] ~docv:"N"
-          ~doc:
-            "Bounded job-queue capacity.  A request arriving on a full \
-             queue is rejected with $(b,queue-full) and a retry hint — \
-             explicit backpressure instead of unbounded buffering.")
-  in
-  let cache_mb =
-    Arg.(
-      value & opt int 64
-      & info [ "cache-mb" ] ~docv:"MB"
-          ~doc:
-            "Byte cap of the cross-request result cache (LRU eviction).  \
-             Keyed on canonical function fingerprints, so repeat \
-             submissions of the same function are answered without \
-             recomputation.")
-  in
-  let max_frame_mb =
-    Arg.(
-      value & opt int 16
-      & info [ "max-frame-mb" ] ~docv:"MB" ~doc:"Largest accepted request frame.")
-  in
-  let verbose = Arg.(value & flag & info [ "v"; "verbose" ] ~doc:"Debug logging.") in
-  let serve socket port host jobs queue_depth cache_mb max_frame_mb verbose =
-    setup_logs verbose;
-    let listen = endpoint_of socket port host in
-    let config =
-      {
-        (Server.default_config listen) with
-        Server.jobs = max 1 jobs;
-        queue_depth = max 1 queue_depth;
-        cache_mb = max 1 cache_mb;
-        max_frame = max 1 max_frame_mb * 1024 * 1024;
-      }
-    in
-    let on_ready () =
-      (match listen with
-      | Server.Unix_socket path ->
-          Printf.printf "mfd serve: listening on %s" path
-      | Server.Tcp (host, port) ->
-          Printf.printf "mfd serve: listening on %s:%d" host port);
-      Printf.printf " (%d worker%s, queue %d, cache %d MiB)\n%!" config.Server.jobs
-        (if config.Server.jobs = 1 then "" else "s")
-        config.Server.queue_depth config.Server.cache_mb
-    in
-    Server.run ~on_ready config
-  in
-  Cmd.v
-    (Cmd.info "serve"
-       ~doc:"Run the persistent decomposition daemon."
-       ~man:
-         [
-           `S Manpage.s_description;
-           `P
-             "Listens on a Unix socket or TCP port for length-prefixed JSON \
-              requests (see $(b,mfd submit)).  Jobs run on a fixed pool of \
-              worker domains, each with its own BDD manager and budget — \
-              the same shared-nothing engine as $(b,mfd batch) — so a \
-              served result is byte-identical to the corresponding \
-              $(b,mfd run).  Results of unbudgeted runs are cached across \
-              requests, keyed on canonical function fingerprints rather \
-              than per-run BDD node ids.";
-           `P "A $(b,shutdown) request drains queued jobs and exits cleanly.";
-         ])
-    Term.(
-      const serve $ socket_arg $ port_arg $ host_arg $ jobs $ queue_depth
-      $ cache_mb $ max_frame_mb $ verbose)
-
-let submit_cmd =
-  let target =
-    Arg.(
-      value
-      & pos 0 (some string) None
-      & info [] ~docv:"TARGET"
-          ~doc:
-            "Benchmark name, .blif file or .pla file (files are read \
-             locally and sent inline).  Required unless $(b,--ping), \
-             $(b,--server-stats) or $(b,--shutdown) is given.")
-  in
-  let op_arg =
-    Arg.(
-      value
-      & vflag `Run
-          [
-            (`Ping, info [ "ping" ] ~doc:"Check that the daemon is alive.");
-            ( `Stats,
-              info [ "server-stats" ]
-                ~doc:"Report daemon counters (cache hits, queue depth, ...)." );
-            (`Shutdown, info [ "shutdown" ] ~doc:"Ask the daemon to exit.");
-          ])
-  in
-  let algorithm =
-    Arg.(
-      value
-      & opt algorithm_conv Mulop.Mulop_dc
-      & info [ "a"; "algorithm" ] ~docv:"ALGO"
-          ~doc:"One of $(b,mulopII), $(b,mulop-dc), $(b,mulop-dcII).")
-  in
-  let lut_size =
-    Arg.(
-      value
-      & opt int Config.default.Config.lut_size
-      & info [ "k"; "lut-size" ] ~docv:"K" ~doc:"LUT input count (2 for gates).")
-  in
-  let out_blif =
-    Arg.(
-      value
-      & opt (some string) None
-      & info [ "o"; "output-blif" ] ~docv:"FILE"
-          ~doc:"Write the served network as BLIF.")
-  in
-  let json =
-    Arg.(
-      value & flag
-      & info [ "json" ] ~doc:"Print the raw response JSON instead of a summary.")
-  in
-  let verify =
-    Arg.(
-      value & flag
-      & info [ "verify" ] ~doc:"Ask the server to check the result by BDD equivalence.")
-  in
-  let read_file path =
-    match In_channel.with_open_bin path In_channel.input_all with
-    | text -> text
-    | exception Sys_error msg ->
-        Printf.eprintf "mfd submit: %s\n" msg;
-        exit 2
-  in
-  let submit target socket port host op algorithm lut_size out_blif json verify
-      checks timeout node_budget effort =
-    let endpoint = endpoint_of socket port host in
-    let op =
-      match op with
-      | `Ping -> Proto.Ping
-      | `Stats -> Proto.Stats
-      | `Shutdown -> Proto.Shutdown
-      | `Run ->
-          let target =
-            match target with
-            | Some t -> t
-            | None ->
-                prerr_endline "mfd submit: TARGET required (or --ping/--server-stats/--shutdown)";
-                exit 2
-          in
-          let source =
-            if Filename.check_suffix target ".blif" then
-              Proto.Blif_text (read_file target)
-            else if Filename.check_suffix target ".pla" then
-              Proto.Pla_text (read_file target)
-            else Proto.Target target
-          in
-          Proto.Run
-            {
-              Proto.source;
-              lut_size;
-              algorithm;
-              effort;
-              timeout;
-              node_budget;
-              checks;
-              verify;
-            }
-    in
-    let client =
-      try Client.connect endpoint
-      with Unix.Unix_error (e, _, _) ->
-        Printf.eprintf "mfd submit: cannot connect: %s\n" (Unix.error_message e);
-        exit 3
-    in
-    let response =
-      match Client.call client op with
-      | Ok resp -> resp
-      | Error msg ->
-          Printf.eprintf "mfd submit: protocol error: %s\n" msg;
-          exit 3
-      | exception (Frame.Closed | Unix.Unix_error _) ->
-          prerr_endline "mfd submit: connection lost";
-          exit 3
-    in
-    Client.close client;
-    if json then
-      print_endline (Proto.to_string (Proto.response_to_json response));
-    match response with
-    | Proto.Pong _ ->
-        if not json then print_endline "pong";
-        exit 0
-    | Proto.Bye _ ->
-        if not json then print_endline "server shutting down";
-        exit 0
-    | Proto.Ok_stats (_, s) ->
-        if not json then
-          Printf.printf
-            "jobs served    %d\n\
-             cache hits     %d\n\
-             cache misses   %d\n\
-             cache entries  %d\n\
-             cache bytes    %d\n\
-             queue          %d/%d\n\
-             workers        %d\n\
-             uptime         %.1fs\n"
-            s.Proto.jobs_served s.Proto.result_hits s.Proto.result_misses
-            s.Proto.cache_entries s.Proto.cache_bytes s.Proto.queue_depth
-            s.Proto.queue_capacity s.Proto.workers s.Proto.uptime_seconds;
-        exit 0
-    | Proto.Ok_run (_, r) ->
-        (match out_blif with
-        | Some path ->
-            let oc = open_out path in
-            output_string oc r.Proto.blif;
-            close_out oc
-        | None -> ());
-        if not json then begin
-          Printf.printf
-            "%s: %-10s luts=%-4d clbs=%-4d depth=%-3d steps=%d shannon=%d"
-            r.Proto.job r.Proto.algorithm r.Proto.luts r.Proto.clbs
-            r.Proto.depth r.Proto.steps r.Proto.shannon;
-          if r.Proto.degraded_to <> Budget.stage_name Budget.Full then
-            Printf.printf " degraded=%s" r.Proto.degraded_to;
-          (match r.Proto.verified with
-          | Some ok -> Printf.printf " verified=%s" (if ok then "ok" else "FAILED")
-          | None -> ());
-          Printf.printf "%s (%.3fs)\n"
-            (if r.Proto.cached then " [cached]" else "")
-            r.Proto.seconds
-        end;
-        exit (match r.Proto.verified with Some false -> 1 | _ -> 0)
-    | Proto.Err { code; message; retry_after; _ } ->
-        Printf.eprintf "mfd submit: %s: %s%s\n"
-          (Proto.error_code_name code)
-          message
-          (match retry_after with
-          | Some t -> Printf.sprintf " (retry in %.2fs)" t
-          | None -> "");
-        exit
-          (match code with
-          | Proto.Queue_full | Proto.Shutting_down -> 4
-          | c when Proto.client_fault c -> 2
-          | _ -> 1)
-  in
-  Cmd.v
-    (Cmd.info "submit"
-       ~doc:"Submit a decomposition job to a running $(b,mfd serve) daemon."
-       ~man:
-         [
-           `S Manpage.s_description;
-           `P
-             "Connects to the daemon, sends one request, prints the result.  \
-              A served decomposition is byte-identical to the corresponding \
-              $(b,mfd run); a repeat submission of the same function is \
-              answered from the daemon's result cache ($(b,[cached]) in the \
-              summary, $(b,\"cached\":true) in the JSON).";
-           `S Manpage.s_exit_status;
-           `P "$(b,0) on success (including ping/stats/shutdown);";
-           `P
-             "$(b,1) when the job failed server-side ($(b,failed), \
-              $(b,internal), $(b,out-of-budget)) or $(b,--verify) reported a \
-              mismatch;";
-           `P
-             "$(b,2) on a client fault: usage error, unreadable input file, \
-              or a request the server rejects deterministically \
-              ($(b,bad-request), $(b,too-large), $(b,parse-error));";
-           `P "$(b,3) when the daemon is unreachable or the protocol broke;";
-           `P
-             "$(b,4) when the request was not admitted but may be retried \
-              ($(b,queue-full) — with a retry hint — or $(b,shutting-down)).";
-         ])
-    Term.(
-      const submit $ target $ socket_arg $ port_arg $ host_arg $ op_arg
-      $ algorithm $ lut_size $ out_blif $ json $ verify $ check_arg
-      $ timeout_arg $ node_budget_arg $ effort_arg)
+      const optimize $ target $ pla $ out_blif $ passes $ engine $ json $ stats)
 
 let () =
   let doc = "multi-output functional decomposition with don't cares" in
@@ -1521,6 +1122,4 @@ let () =
             lint_cmd;
             audit_cmd;
             optimize_cmd;
-            serve_cmd;
-            submit_cmd;
           ]))

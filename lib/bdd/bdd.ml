@@ -38,9 +38,6 @@ type manager = {
   restrict_cache : t Op_cache.t;
   (* node id -> sorted support, memoized for the node's lifetime *)
   support_cache : (int, int list) Hashtbl.t;
-  (* node id -> canonical 16-byte fingerprint, memoized for the node's
-     lifetime (nodes are immutable and never collected) *)
-  fingerprint_cache : (int, string) Hashtbl.t;
   (* Resource-governor hook: called with the live node count once every
      [growth_interval] fresh allocations.  May raise to abort the
      current operation; the unique table and all caches only ever hold
@@ -62,7 +59,6 @@ let manager ?(cache_size = 4096) () =
     not_cache = Hashtbl.create cache_size;
     restrict_cache = Op_cache.create cache_size;
     support_cache = Hashtbl.create cache_size;
-    fingerprint_cache = Hashtbl.create cache_size;
     growth_hook = None;
     growth_tick = growth_interval;
   }
@@ -378,40 +374,6 @@ let rename m f pi =
 let negate_var m f v =
   let lo, hi = cofactor2 m f v in
   ite m (var m v) lo hi
-
-(* Merkle digest of the ROBDD structure: the fingerprint of a node is
-   the MD5 of its variable index and the fingerprints of its children.
-   Because ROBDDs are canonical for a fixed variable order, two
-   functions have the same fingerprint iff they are the same function
-   (up to MD5 collisions, negligible at 128 bits) — regardless of
-   which manager built them, in what order, or what node ids they got.
-   Memoized per node in the manager, so amortized cost is one digest
-   per distinct node ever fingerprinted. *)
-let zero_fp = Digest.string "mfd-bdd-zero"
-let one_fp = Digest.string "mfd-bdd-one"
-
-let fingerprint m f =
-  let buf = Buffer.create 40 in
-  let rec go f =
-    match f.node with
-    | Zero -> zero_fp
-    | One -> one_fp
-    | Node { v; lo; hi } -> (
-        match Hashtbl.find_opt m.fingerprint_cache f.id with
-        | Some fp -> fp
-        | None ->
-            let flo = go lo in
-            let fhi = go hi in
-            Buffer.clear buf;
-            Buffer.add_string buf (string_of_int v);
-            Buffer.add_char buf '|';
-            Buffer.add_string buf flo;
-            Buffer.add_string buf fhi;
-            let fp = Digest.string (Buffer.contents buf) in
-            Hashtbl.add m.fingerprint_cache f.id fp;
-            fp)
-  in
-  go f
 
 let equal_on m ~care f g = is_zero (and_ m care (xor m f g))
 

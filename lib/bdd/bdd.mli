@@ -140,18 +140,6 @@ val size : t -> int
 val size_list : t list -> int
 (** Nodes of the shared DAG of a list of functions. *)
 
-val fingerprint : manager -> t -> string
-(** Canonical, manager-independent fingerprint of the {e function}: a
-    16-byte Merkle digest of the ROBDD structure (variable indices and
-    child digests).  Two BDDs — possibly living in different managers,
-    built in different orders, with unrelated node ids — have equal
-    fingerprints iff they denote the same Boolean function over the
-    same variable indices (modulo MD5 collisions, negligible at 128
-    bits).  Memoized per node for the node's lifetime, so repeated
-    queries are O(1).  This is the key material of every cross-run
-    cache ([Decomp.Score_cache], the serve daemon's result cache):
-    node ids die with their manager, fingerprints do not. *)
-
 val equal_on : manager -> care:t -> t -> t -> bool
 (** [equal_on m ~care f g]: do [f] and [g] agree on every minterm of
     [care]?  ([care = one] is plain {!equal}; the workhorse of the

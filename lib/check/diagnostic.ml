@@ -121,39 +121,22 @@ let pp_list fmt = function
       Format.fprintf fmt "%d error(s), %d warning(s), %d info@]"
         (count Error fs) (count Warning fs) (count Info fs)
 
-let json_escape s =
-  let buf = Buffer.create (String.length s + 8) in
-  String.iter
-    (fun c ->
-      match c with
-      | '"' -> Buffer.add_string buf "\\\""
-      | '\\' -> Buffer.add_string buf "\\\\"
-      | '\n' -> Buffer.add_string buf "\\n"
-      | '\t' -> Buffer.add_string buf "\\t"
-      | c when Char.code c < 0x20 ->
-          Buffer.add_string buf (Printf.sprintf "\\u%04x" (Char.code c))
-      | c -> Buffer.add_char buf c)
-    s;
-  Buffer.contents buf
+let finding_json f =
+  Json.Obj
+    [
+      ("code", Json.Str f.code);
+      ("severity", Json.Str (severity_name f.severity));
+      ("loc", match f.loc with Some l -> Json.Str l | None -> Json.Null);
+      ("message", Json.Str f.message);
+    ]
 
-let to_json ?(extra = []) fs =
-  let field k v = Printf.sprintf "\"%s\":%s" k v in
-  let quote s = Printf.sprintf "\"%s\"" (json_escape s) in
-  let one f =
-    String.concat ","
-      [
-        field "code" (quote f.code);
-        field "severity" (quote (severity_name f.severity));
-        field "loc" (match f.loc with Some l -> quote l | None -> "null");
-        field "message" (quote f.message);
-      ]
-  in
-  let body =
-    "[" ^ String.concat "," (List.map (fun f -> "{" ^ one f ^ "}") (normalize fs)) ^ "]"
-  in
-  Printf.sprintf "{\"catalogue\":\"%s\",\"findings\":%s%s}" catalogue_version body
-    (String.concat ""
-       (List.map (fun (k, v) -> Printf.sprintf ",%s" (field k v)) extra))
+let json ?(extra = []) fs =
+  Json.Obj
+    (("catalogue", Json.Str catalogue_version)
+    :: ("findings", Json.Arr (List.map finding_json (normalize fs)))
+    :: extra)
+
+let to_json ?extra fs = Json.to_string (json ?extra fs)
 
 type level = Off | Cheap | Full | Deep
 

@@ -75,14 +75,19 @@ val pp_list : Format.formatter -> t list -> unit
 (** One finding per line (in {!normalize} order) followed by a severity
     summary; prints ["clean"] for an empty list. *)
 
-val to_json : ?extra:(string * string) list -> t list -> string
+val finding_json : t -> Json.t
+(** One finding as a [{"code","severity","loc","message"}] object
+    (["loc"] is [null] when absent). *)
+
+val json : ?extra:(string * Json.t) list -> t list -> Json.t
 (** A JSON object [{"catalogue":V,"findings":[...]}] where [V] is
-    {!catalogue_version} and each finding is a
-    [{"code","severity","loc","message"}] object (["loc"] is [null]
-    when absent), in {!normalize} order.  Each [extra] pair is appended
-    to the object as one more field; the value must already be valid
-    JSON text (the lint and audit front ends attach their analyzer
-    coverage this way). *)
+    {!catalogue_version} and the findings are {!finding_json} objects
+    in {!normalize} order.  Each [extra] pair is appended to the object
+    as one more field (the lint and audit front ends attach their
+    analyzer coverage this way). *)
+
+val to_json : ?extra:(string * Json.t) list -> t list -> string
+(** {!json} rendered by {!Json.to_string}. *)
 
 (** {1 Check levels} *)
 

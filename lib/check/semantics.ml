@@ -394,9 +394,9 @@ let window_screenable net df s =
       !zero && !one
   | _ -> false
 
-let analyze_report ?care_of_output ?check ?(sat_fallback = true)
-    ?(tfi_depth = 4) ?(tfo_depth = 4) ?(sat_max_conflicts = 2000)
-    ?(sat_timeout = 20.0) ?(dataflow = true) m ~var_of_input net =
+let analyze_report ?care_of_output ?check ?(tfi_depth = 4) ?(tfo_depth = 4)
+    ?(sat_max_conflicts = 2000) ?(sat_timeout = 20.0) ?(dataflow = true) m
+    ~var_of_input net =
   (* The cheap tier always runs (it is linear and its SUP findings are
      part of the report either way); [dataflow] only decides whether
      its facts are allowed to screen the expensive engines. *)
@@ -442,15 +442,6 @@ let analyze_report ?care_of_output ?check ?(sat_fallback = true)
         findings = sup @ base;
         coverage =
           coverage ~windowed_nodes:0 ~truncated_nodes:0
-            ~counters:(Complete_dc.counters ()) ~screened_windows:0
-            ~wall_sat:0.0;
-      }
-  | Some _ when not sat_fallback ->
-      {
-        findings = sup @ base;
-        coverage =
-          coverage ~windowed_nodes:0
-            ~truncated_nodes:(total_nodes - exact_nodes)
             ~counters:(Complete_dc.counters ()) ~screened_windows:0
             ~wall_sat:0.0;
       }

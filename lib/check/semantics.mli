@@ -77,7 +77,6 @@ type report = { findings : Diagnostic.t list; coverage : coverage }
 val analyze_report :
   ?care_of_output:(string -> Bdd.t) ->
   ?check:(unit -> unit) ->
-  ?sat_fallback:bool ->
   ?tfi_depth:int ->
   ?tfo_depth:int ->
   ?sat_max_conflicts:int ->
@@ -88,8 +87,8 @@ val analyze_report :
   Network.t ->
   report
 (** Run the cheap dataflow tier, the exact engine, then — when the
-    exact engine was truncated and [sat_fallback] (default [true]) —
-    the windowed SAT analysis over the remainder.  The fallback sees
+    exact engine was truncated — the windowed SAT analysis over the
+    remainder.  The fallback sees
     the network but not [care_of_output] (its don't cares are global,
     hence valid on any care set); it emits [SEM001]/[SEM002]/[SEM003]
     findings where the window proves them.  [check] budgets only the

@@ -26,10 +26,8 @@ type error = { kind : error_kind; message : string }
 exception Job_rejected of error_kind * string
 
 (* Every failure a job can produce, folded into the structured taxonomy
-   instead of a flat string: the old [Failure msg -> Error msg] made a
-   parse error, a driver invariant violation and budget exhaustion
-   indistinguishable downstream, so the serve protocol could not tell a
-   client error from an engine fault. *)
+   instead of a flat string, so a report can tell a client error (bad
+   input) from an engine fault. *)
 let classify = function
   | Job_rejected (kind, message) -> { kind; message }
   | Driver.Internal e -> { kind = Internal; message = Driver.internal_error_message e }
@@ -66,38 +64,6 @@ type job_report = {
 
 type report = { results : job_report list; domains : int; wall : float }
 
-(* Decompose one already-built specification on the manager that built
-   it, under a fresh budget, confining every failure to a structured
-   [Error].  This is the shared engine of [run_job] and of the serve
-   daemon's workers (which must build the spec themselves first, to
-   fingerprint it for the cross-request cache). *)
-let run_one ?lut_size ?objective ?timeout ?node_budget ?effort ?checks
-    ?(verify = false) ~stats algorithm m spec =
-  match
-    let budget = Budget.create ?timeout ?node_budget ?effort ~stats () in
-    let o =
-      Mulop.run ?lut_size ?objective ~budget ?checks ~stats m algorithm spec
-    in
-    let verified =
-      if verify then Some (Driver.verify m spec o.Mulop.network) else None
-    in
-    {
-      algorithm;
-      network = o.Mulop.network;
-      lut_count = o.Mulop.lut_count;
-      clb_count = o.Mulop.clb_count;
-      depth = o.Mulop.depth;
-      step_count = o.Mulop.step_count;
-      shannon_count = o.Mulop.shannon_count;
-      alpha_count = o.Mulop.alpha_count;
-      degraded_to = o.Mulop.degraded_to;
-      findings = o.Mulop.findings;
-      verified;
-    }
-  with
-  | summary -> Ok summary
-  | exception e -> Error (classify e)
-
 (* One job, start to finish, inside whichever domain claimed it.  Every
    per-run resource is created here — manager, budget, stats — and
    every exception (parse error of a lazily loaded file, driver
@@ -106,18 +72,36 @@ let run_one ?lut_size ?objective ?timeout ?node_budget ?effort ?checks
    monotonic: a wall-clock (NTP) step mid-job must not produce negative
    [seconds]. *)
 let run_job ?lut_size ?objective ?timeout ?node_budget ?effort ?checks
-    ?verify algorithm jb =
+    ?(verify = false) algorithm jb =
   let stats = Stats.create () in
   let t0 = Mono.now () in
   let outcome =
     match
       let m = Bdd.manager () in
-      (m, jb.build m)
+      let spec = jb.build m in
+      let budget = Budget.create ?timeout ?node_budget ?effort ~stats () in
+      let o =
+        Mulop.run ?lut_size ?objective ~budget ?checks ~stats m algorithm spec
+      in
+      let verified =
+        if verify then Some (Driver.verify m spec o.Mulop.network) else None
+      in
+      {
+        algorithm;
+        network = o.Mulop.network;
+        lut_count = o.Mulop.lut_count;
+        clb_count = o.Mulop.clb_count;
+        depth = o.Mulop.depth;
+        step_count = o.Mulop.step_count;
+        shannon_count = o.Mulop.shannon_count;
+        alpha_count = o.Mulop.alpha_count;
+        degraded_to = o.Mulop.degraded_to;
+        findings = o.Mulop.findings;
+        verified;
+      }
     with
+    | summary -> Ok summary
     | exception e -> Error (classify e)
-    | m, spec ->
-        run_one ?lut_size ?objective ?timeout ?node_budget ?effort ?checks
-          ?verify ~stats algorithm m spec
   in
   { job = jb.name; outcome; seconds = Mono.now () -. t0; stats }
 
@@ -215,61 +199,40 @@ let pp_text ?(stats = false) fmt report =
       report.results;
   Format.fprintf fmt "@]"
 
-let json_escape s =
-  let buf = Buffer.create (String.length s + 8) in
-  String.iter
-    (fun c ->
-      match c with
-      | '"' -> Buffer.add_string buf "\\\""
-      | '\\' -> Buffer.add_string buf "\\\\"
-      | '\n' -> Buffer.add_string buf "\\n"
-      | '\t' -> Buffer.add_string buf "\\t"
-      | '\r' -> Buffer.add_string buf "\\r"
-      | c when Char.code c < 0x20 ->
-          Buffer.add_string buf (Printf.sprintf "\\u%04x" (Char.code c))
-      | c -> Buffer.add_char buf c)
-    s;
-  Buffer.contents buf
-
 let to_json report =
-  let quote s = Printf.sprintf "\"%s\"" (json_escape s) in
-  let field k v = Printf.sprintf "%s:%s" (quote k) v in
   let row r =
-    let common =
-      [
-        field "job" (quote r.job);
-        field "seconds" (Printf.sprintf "%.6f" r.seconds);
-      ]
-    in
     let rest =
       match r.outcome with
       | Ok s ->
           [
-            field "status" (quote "ok");
-            field "algorithm" (quote (Mulop.algorithm_name s.algorithm));
-            field "luts" (string_of_int s.lut_count);
-            field "clbs" (string_of_int s.clb_count);
-            field "depth" (string_of_int s.depth);
-            field "steps" (string_of_int s.step_count);
-            field "shannon" (string_of_int s.shannon_count);
-            field "alphas" (string_of_int s.alpha_count);
-            field "degraded_to" (quote (Budget.stage_name s.degraded_to));
-            field "findings" (Diagnostic.to_json s.findings);
+            ("status", Json.Str "ok");
+            ("algorithm", Json.Str (Mulop.algorithm_name s.algorithm));
+            ("luts", Json.int s.lut_count);
+            ("clbs", Json.int s.clb_count);
+            ("depth", Json.int s.depth);
+            ("steps", Json.int s.step_count);
+            ("shannon", Json.int s.shannon_count);
+            ("alphas", Json.int s.alpha_count);
+            ("degraded_to", Json.Str (Budget.stage_name s.degraded_to));
+            ("findings", Diagnostic.json s.findings);
           ]
           @ (match s.verified with
             | None -> []
-            | Some ok -> [ field "verified" (string_of_bool ok) ])
+            | Some ok -> [ ("verified", Json.Bool ok) ])
       | Error e ->
           [
-            field "status" (quote "failed");
-            field "error_kind" (quote (error_kind_name e.kind));
-            field "error" (quote e.message);
+            ("status", Json.Str "failed");
+            ("error_kind", Json.Str (error_kind_name e.kind));
+            ("error", Json.Str e.message);
           ]
     in
-    "{" ^ String.concat "," (common @ rest) ^ "}"
+    Json.Obj
+      (("job", Json.Str r.job) :: ("seconds", Json.Num r.seconds) :: rest)
   in
-  Printf.sprintf "{%s,%s,%s}"
-    (field "domains" (string_of_int report.domains))
-    (field "wall_seconds" (Printf.sprintf "%.6f" report.wall))
-    (field "jobs"
-       ("[" ^ String.concat "," (List.map row report.results) ^ "]"))
+  Json.to_string
+    (Json.Obj
+       [
+         ("domains", Json.int report.domains);
+         ("wall_seconds", Json.Num report.wall);
+         ("jobs", Json.Arr (List.map row report.results));
+       ])

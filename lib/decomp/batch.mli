@@ -14,8 +14,7 @@
     Failures are isolated per job and {e structured}: a parse error of
     a lazily loaded file, a {!Driver.Internal} violation, budget
     exhaustion and anything else become that job's [Error] row — with
-    its {!error_kind} preserved, so downstream consumers (batch
-    reports, the serve protocol's error codes) can tell a client error
+    its {!error_kind} preserved, so a report can tell a client error
     from an engine fault instead of grepping a flattened string.
 
     The report is deterministic: job results are independent of
@@ -52,8 +51,8 @@ type error_kind =
 
 val error_kind_name : error_kind -> string
 (** Stable lowercase-hyphen names: ["parse-error"], ["internal"],
-    ["out-of-budget"], ["other"] — used in batch JSON and as serve
-    protocol error codes. *)
+    ["out-of-budget"], ["other"] — used in the batch text and JSON
+    reports. *)
 
 type error = { kind : error_kind; message : string }
 
@@ -73,8 +72,7 @@ type summary = {
   algorithm : Mulop.algorithm;
   network : Network.t;
       (** the produced LUT network — self-contained (plain truth
-          tables, no BDD references), so it outlives the job's manager;
-          the serve daemon renders it back to the client as BLIF *)
+          tables, no BDD references), so it outlives the job's manager *)
   lut_count : int;
   clb_count : int;
   depth : int;
@@ -101,27 +99,6 @@ type report = {
   wall : float;  (** monotonic wall time of the whole batch *)
 }
 
-val run_one :
-  ?lut_size:int ->
-  ?objective:Cost.objective ->
-  ?timeout:float ->
-  ?node_budget:int ->
-  ?effort:Budget.effort ->
-  ?checks:Diagnostic.level ->
-  ?verify:bool ->
-  stats:Stats.t ->
-  Mulop.algorithm ->
-  Bdd.manager ->
-  Driver.spec ->
-  (summary, error) result
-(** Decompose one already-built specification on the manager that
-    built it, under a fresh budget, classifying any failure.  The
-    shared engine of {!run_job} and of the serve daemon's workers
-    (which build the spec first to fingerprint it for the
-    cross-request cache, then run on the same manager — the exact
-    code path of a CLI [mfd run], which is what makes served results
-    deterministic replicas). *)
-
 val run_job :
   ?lut_size:int ->
   ?objective:Cost.objective ->
@@ -133,8 +110,10 @@ val run_job :
   Mulop.algorithm ->
   job ->
   job_report
-(** One job start to finish: fresh manager, build, {!run_one}, timed
-    monotonically. *)
+(** One job start to finish: a fresh manager, the job's [build], then
+    {!Mulop.run} under a fresh budget, timed monotonically.  Any
+    failure is classified by {!classify} into the job's [Error]
+    outcome. *)
 
 val run :
   ?jobs:int ->

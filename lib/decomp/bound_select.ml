@@ -26,7 +26,7 @@ let score ?cache ?stats ?(lut_size = max_int) ?(cost = Cost.area) m isfs bound =
   if relevant = [] then worst
   else begin
     let key () =
-      Score_cache.score_key m ~lut_size ~cost (List.map fst relevant) bound
+      Score_cache.score_key ~lut_size ~cost (List.map fst relevant) bound
     in
     let memo =
       match cache with
@@ -40,7 +40,7 @@ let score ?cache ?stats ?(lut_size = max_int) ?(cost = Cost.area) m isfs bound =
     | None ->
         let vector f =
           match cache with
-          | Some c -> Score_cache.cofactor_vector c m f bound
+          | Some c -> Score_cache.cofactor_vector c f bound
           | None -> Isf.cofactor_vector m f bound
         in
         let vecs =

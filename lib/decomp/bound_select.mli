@@ -17,10 +17,11 @@ val score :
   int list ->
   int * int * int
 (** Candidate quality, lexicographically smaller = better.  With
-    [cache], cofactor vectors and whole scores are memoized (and scores
-    are keyed by [lut_size] and the objective's {!Cost.key_of}
-    fragment, so every scoring mode can share one cache without
-    mixing); the result is identical with and without a cache.
+    [cache] (which must be bound to the same manager), cofactor
+    vectors and whole scores are memoized (and scores are keyed by
+    [lut_size] and the objective's {!Cost.key_of} fragment, so every
+    scoring mode can share one cache without mixing); the result is
+    identical with and without a cache.
     Counters land in the cache's stats when a cache is given, else in
     [stats] (else in a fresh throwaway).  A bound set that overlaps no
     ISF support scores worst-possible in every ordering — it reduces

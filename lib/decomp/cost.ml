@@ -61,9 +61,8 @@ let triple t ~bound (a1, a2) =
 
 (* The cache-key fragment: which ordering was used and, when arrivals
    participate, the arrival profile they were computed from.  Area
-   keys carry no profile — area scores are arrival-independent, so a
-   cache shared across runs (the serve daemon) may serve them across
-   differing network states. *)
+   keys carry no profile — area scores are arrival-independent, so
+   they stay valid across differing network states. *)
 let key_of t bound =
   match t.objective with
   | Area -> (0, [])

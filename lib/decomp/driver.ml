@@ -96,7 +96,7 @@ let decompose_report ?(cfg = Config.default) ?(budget = Budget.unlimited)
      growth, Curtis retries, and driver iterations (recursion levels),
      and is trimmed whenever a committed step rewrites ISFs.  Tied to
      [m]; counters land in this run's [stats]. *)
-  let cache = Score_cache.create ~stats () in
+  let cache = Score_cache.create ~stats m in
   let signal_of_var : (int, Network.signal) Hashtbl.t = Hashtbl.create 64 in
   List.iteri
     (fun k name -> Hashtbl.replace signal_of_var k (Network.add_input net name))
@@ -546,7 +546,7 @@ let decompose_report ?(cfg = Config.default) ?(budget = Budget.unlimited)
        hash-consed keys mean stale entries are unreachable, not
        wrong). *)
     if step_ok then
-      Score_cache.retain cache m ~live:(List.map (fun it -> it.isf) !worklist);
+      Score_cache.retain cache ~live:(List.map (fun it -> it.isf) !worklist);
     if not step_ok then
       (* No support shrank: split the primary by Shannon expansion.
          After two fruitless rounds the whole cofactor tree is

@@ -1,21 +1,12 @@
 (* Memoization layer for the bound-set search (the paper's inner loop:
    ncc(f, B) over many candidate bound sets).
 
-   Keys are canonical by function fingerprints: an ISF is identified by
-   the pair of Bdd.fingerprint digests of its on- and dc-sets.  Unlike
-   the node-id keys this cache used to have, fingerprints do not die
-   with the per-run Bdd.manager — a score computed in one run can be
-   looked up by a later run that builds the same function in a fresh
-   manager, which is what the serve daemon's cross-request reuse needs.
-   Two structurally equal ISFs share their cache entries, and entries
-   of a rewritten ISF can never be looked up by mistake — invalidation
-   ([retain]) is purely about bounding memory, never about correctness.
-
-   Scores (triples of ints — the objective term plus the classical
-   area pair) are manager-independent and persist across managers.  Cofactor vectors are not: they hold Isf.t values tied to
-   the manager that built them, so the vector table is flushed whenever
-   the cache is presented with a different manager (physical equality
-   on the manager value).
+   Keys are canonical by hash consing: an ISF is identified by the pair
+   (id of on-set, id of dc-set), so two structurally equal ISFs share
+   their cache entries, and entries of a rewritten ISF can never be
+   looked up by mistake — invalidation ([retain]) is purely about
+   bounding memory, never about correctness.  Ids are only unique per
+   manager, so a cache is bound to its run's manager at [create].
 
    Cofactor vectors are the expensive part of a score: the table keyed
    by (isf, sorted bound set) lets a vector for B be extended to
@@ -26,46 +17,27 @@
    scores, and Curtis retries and later driver iterations reuse
    whatever the earlier searches left behind. *)
 
-type isf_key = string * string
+type isf_key = int * int
 
-let isf_key m f = (Bdd.fingerprint m (Isf.on f), Bdd.fingerprint m (Isf.dc f))
+let isf_key f = (Bdd.id (Isf.on f), Bdd.id (Isf.dc f))
 
 type score_key = int * (int * int list) * int list * isf_key list
 
 type t = {
+  m : Bdd.manager;
   stats : Stats.t;
   cof : (isf_key * int list, Isf.t array) Hashtbl.t;
   scores : (score_key, int * int * int) Hashtbl.t;
-  (* the manager whose Isf.t values the [cof] table currently holds *)
-  mutable cof_manager : Bdd.manager option;
 }
 
-let create ?(stats = Stats.create ()) () =
-  {
-    stats;
-    cof = Hashtbl.create 256;
-    scores = Hashtbl.create 256;
-    cof_manager = None;
-  }
+let create ?(stats = Stats.create ()) m =
+  { m; stats; cof = Hashtbl.create 256; scores = Hashtbl.create 256 }
 
 let stats t = t.stats
 
-(* Vectors hold manager-tied values; scores are plain ints.  When the
-   cache crosses to a new manager, the vectors of the old one must not
-   be served (their nodes belong to a foreign unique table), so the
-   vector table restarts empty while the scores carry over. *)
-let ensure_manager t m =
-  match t.cof_manager with
-  | Some m' when m' == m -> ()
-  | Some _ ->
-      Hashtbl.reset t.cof;
-      t.cof_manager <- Some m
-  | None -> t.cof_manager <- Some m
-
-let cofactor_vector t m f bound =
-  ensure_manager t m;
+let cofactor_vector t f bound =
   t.stats.Stats.cof_lookups <- t.stats.Stats.cof_lookups + 1;
-  let fk = isf_key m f in
+  let fk = isf_key f in
   let hit_below = ref false in
   let rec get bound =
     match Hashtbl.find_opt t.cof (fk, bound) with
@@ -96,7 +68,7 @@ let cofactor_vector t m f bound =
               let vec_sub = get sub in
               t.stats.Stats.restricts <-
                 t.stats.Stats.restricts + (2 * Array.length vec_sub);
-              Isf.extend_cofactor_vector m vec_sub sub v
+              Isf.extend_cofactor_vector t.m vec_sub sub v
         in
         Hashtbl.add t.cof (fk, bound) vec;
         vec
@@ -112,21 +84,20 @@ let cofactor_vector t m f bound =
       else t.stats.Stats.cof_fresh <- t.stats.Stats.cof_fresh + 1;
       vec
 
-let score_key m ~lut_size ?(cost = Cost.area) isfs bound =
+let score_key ~lut_size ?(cost = Cost.area) isfs bound =
   (* The cost fragment carries the objective tag and (for the
      arrival-aware objectives) the arrival profile the score was
      computed under, so one cache serves every mode — and every
-     network state — without mixing.  Area scores are
-     arrival-independent and share one key shape across runs. *)
-  (lut_size, Cost.key_of cost bound, bound, List.map (isf_key m) isfs)
+     network state — without mixing. *)
+  (lut_size, Cost.key_of cost bound, bound, List.map isf_key isfs)
 
 let find_score t key = Hashtbl.find_opt t.scores key
 let add_score t key value = Hashtbl.replace t.scores key value
 
-let retain t m ~live =
+let retain t ~live =
   t.stats.Stats.retains <- t.stats.Stats.retains + 1;
   let alive = Hashtbl.create (List.length live * 2) in
-  List.iter (fun f -> Hashtbl.replace alive (isf_key m f) ()) live;
+  List.iter (fun f -> Hashtbl.replace alive (isf_key f) ()) live;
   let before = Hashtbl.length t.cof + Hashtbl.length t.scores in
   Hashtbl.filter_map_inplace
     (fun (fk, _) vec -> if Hashtbl.mem alive fk then Some vec else None)

@@ -4,64 +4,55 @@
     overlapping candidates: greedy growth scores every extension of the
     current candidate, Curtis retries rescore supersets, and successive
     driver iterations revisit the same (unchanged) ISFs.  A cache
-    instance persists across all of them and is keyed canonically by
-    {e function fingerprints} ({!Bdd.fingerprint}) — an ISF is the pair
-    of digests of its on- and dc-sets — so entries of rewritten ISFs
-    are unreachable rather than stale.  {!retain} drops entries of dead
-    ISFs to bound memory after the driver commits a step.
+    instance persists across all of them within one run and is keyed
+    canonically by node ids — an ISF is the pair [(Bdd.id on, Bdd.id
+    dc)] — so entries of rewritten ISFs are unreachable rather than
+    stale.  {!retain} drops entries of dead ISFs to bound memory after
+    the driver commits a step.
 
-    Fingerprints are manager-independent, so a cache {e outlives} any
-    single {!Bdd.manager}: scores computed in one run are valid hits
-    for a later run that builds the same functions in a fresh manager
-    (the serve daemon's cross-request reuse, and the qcheck property
-    [cache-hit score = fresh score across two managers]).  Cofactor
-    vectors, by contrast, hold manager-tied {!Isf.t} values: the vector
-    table is automatically flushed when the cache is used with a
-    manager other than the one that filled it. *)
+    A cache is bound at {!create} to the one {!Bdd.manager} of its run.
+    Id keys are exact because ROBDDs are canonical within a manager
+    (equal functions share one node, hence one id) and {!Bdd} never
+    collects nodes, so an id is never reused for another function.  A
+    kernel that garbage-collects or renumbers nodes breaks that second
+    condition and must {!clear} every cache bound to the manager when
+    it does. *)
 
 type t
 
-val create : ?stats:Stats.t -> unit -> t
-(** Counters and timings are accumulated into [stats].  Pass the run's
-    own instance; the default is a fresh throwaway {!Stats.create} so an
-    undirected cache never shares counters with another run. *)
+val create : ?stats:Stats.t -> Bdd.manager -> t
+(** An empty cache for ISFs of the given manager.  Counters and timings
+    are accumulated into [stats].  Pass the run's own instance; the
+    default is a fresh throwaway {!Stats.create} so an undirected cache
+    never shares counters with another run. *)
 
 val stats : t -> Stats.t
 
-val cofactor_vector : t -> Bdd.manager -> Isf.t -> int list -> Isf.t array
+val cofactor_vector : t -> Isf.t -> int list -> Isf.t array
 (** Memoized {!Isf.cofactor_vector} for an ascending bound set.  On a
     miss the vector is built by {!Isf.extend_cofactor_vector} from the
     nearest cached subset (every intermediate prefix is cached too), so
     growing searches pay one variable's worth of restricts per new
-    candidate instead of a full recomputation.  Switching managers
-    flushes the vector table (vectors are manager-tied); scores are
-    kept. *)
+    candidate instead of a full recomputation. *)
 
 type score_key
 
 val score_key :
-  Bdd.manager ->
-  lut_size:int ->
-  ?cost:Cost.t ->
-  Isf.t list ->
-  int list ->
-  score_key
+  lut_size:int -> ?cost:Cost.t -> Isf.t list -> int list -> score_key
 (** Key of a score query: the scoring mode ([lut_size] and the
     objective's {!Cost.key_of} fragment — tag plus arrival profile,
     so arrival-aware scores taken under different network states never
-    collide), the sorted bound set, and the fingerprints of the
-    participating ISFs.  The manager is only needed to compute
-    (memoized) fingerprints; the key itself carries no per-manager
-    state.  [cost] defaults to {!Cost.area}, whose fragment is
-    constant — area keys are unchanged across runs and managers. *)
+    collide), the sorted bound set, and the id pairs of the
+    participating ISFs.  [cost] defaults to {!Cost.area}, whose
+    fragment is constant. *)
 
 val find_score : t -> score_key -> (int * int * int) option
 val add_score : t -> score_key -> int * int * int -> unit
 
-val retain : t -> Bdd.manager -> live:Isf.t list -> unit
+val retain : t -> live:Isf.t list -> unit
 (** Drop every entry that mentions an ISF outside [live].  Called by
     the driver after a committed step rewrites participant ISFs; pure
     memory hygiene — lookups of dead keys cannot collide with live
-    ones because fingerprints identify functions exactly. *)
+    ones because ids identify functions exactly. *)
 
 val clear : t -> unit

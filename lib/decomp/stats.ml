@@ -9,8 +9,6 @@ type t = {
   mutable retains : int;
   mutable evicted : int;
   mutable budget_checks : int;
-  mutable result_hits : int;
-  mutable result_misses : int;
   mutable sem_nodes : int;
   mutable sem_truncations : int;
   mutable sat_calls : int;
@@ -36,8 +34,6 @@ let create () =
     retains = 0;
     evicted = 0;
     budget_checks = 0;
-    result_hits = 0;
-    result_misses = 0;
     sem_nodes = 0;
     sem_truncations = 0;
     sat_calls = 0;
@@ -62,8 +58,6 @@ let reset t =
   t.retains <- 0;
   t.evicted <- 0;
   t.budget_checks <- 0;
-  t.result_hits <- 0;
-  t.result_misses <- 0;
   t.sem_nodes <- 0;
   t.sem_truncations <- 0;
   t.sat_calls <- 0;
@@ -87,8 +81,6 @@ let merge ~into s =
   into.retains <- into.retains + s.retains;
   into.evicted <- into.evicted + s.evicted;
   into.budget_checks <- into.budget_checks + s.budget_checks;
-  into.result_hits <- into.result_hits + s.result_hits;
-  into.result_misses <- into.result_misses + s.result_misses;
   into.sem_nodes <- into.sem_nodes + s.sem_nodes;
   into.sem_truncations <- into.sem_truncations + s.sem_truncations;
   into.sat_calls <- into.sat_calls + s.sat_calls;
@@ -133,10 +125,6 @@ let cof_hit_rate t =
   else
     float_of_int (t.cof_hits + t.cof_extends) /. float_of_int t.cof_lookups
 
-let result_hit_rate t =
-  let total = t.result_hits + t.result_misses in
-  if total = 0 then 0.0 else float_of_int t.result_hits /. float_of_int total
-
 type clock = { stats : t; mutable last : float }
 
 (* Monotonic, not gettimeofday: a phase duration must survive an NTP
@@ -172,8 +160,6 @@ let counter_fields =
     ("retains", (fun t -> t.retains), fun t v -> t.retains <- v);
     ("evicted", (fun t -> t.evicted), fun t v -> t.evicted <- v);
     ("budget_checks", (fun t -> t.budget_checks), fun t v -> t.budget_checks <- v);
-    ("result_hits", (fun t -> t.result_hits), fun t v -> t.result_hits <- v);
-    ("result_misses", (fun t -> t.result_misses), fun t v -> t.result_misses <- v);
     ("sem_nodes", (fun t -> t.sem_nodes), fun t v -> t.sem_nodes <- v);
     ("sem_truncations", (fun t -> t.sem_truncations), fun t v -> t.sem_truncations <- v);
     ("sat_calls", (fun t -> t.sat_calls), fun t v -> t.sat_calls <- v);
@@ -259,10 +245,6 @@ let pp fmt t =
     t.cof_lookups t.cof_hits t.cof_extends t.cof_fresh
     (100.0 *. cof_hit_rate t)
     t.restricts t.retains t.evicted;
-  if t.result_hits > 0 || t.result_misses > 0 then
-    Format.fprintf fmt "@,result cache: %d hit(s), %d miss(es) (%.1f%%)"
-      t.result_hits t.result_misses
-      (100.0 *. result_hit_rate t);
   if t.sem_nodes > 0 || t.sem_truncations > 0 then
     Format.fprintf fmt "@,semantic dataflow: %d node(s) analyzed, %d truncation(s)"
       t.sem_nodes t.sem_truncations;

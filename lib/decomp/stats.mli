@@ -22,10 +22,6 @@ type t = {
   mutable retains : int;  (** cache invalidation passes *)
   mutable evicted : int;  (** entries dropped by invalidation *)
   mutable budget_checks : int;  (** {!Budget.check} polls performed *)
-  mutable result_hits : int;
-      (** cross-request result-cache hits (the serve daemon's cache of
-          whole decomposition results, keyed on semantic fingerprints) *)
-  mutable result_misses : int;  (** cross-request result-cache misses *)
   mutable sem_nodes : int;
       (** LUT nodes analyzed by the deep semantic (SDC/ODC) pass *)
   mutable sem_truncations : int;
@@ -87,10 +83,6 @@ val score_hit_rate : t -> float
 val cof_hit_rate : t -> float
 (** Fraction of cofactor-vector requests answered without a
     from-the-root computation (cached or incrementally extended). *)
-
-val result_hit_rate : t -> float
-(** Fraction of result-cache lookups served from the cache ([0.] when
-    no lookups were made). *)
 
 (** A phase clock marks the boundaries between the named phases of a
     loop iteration; the elapsed time since the previous mark is added

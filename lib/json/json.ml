@@ -1,7 +1,8 @@
 (* The repository's single JSON codec: emission for every
-   machine-readable report (serve protocol, batch, bench) and a strict
-   parser whose rejection behaviour the consumers control — a hostile
-   frame or a stale schema becomes an error value, never a crash. *)
+   machine-readable report (batch, diagnostics, bench, the CLI's --json
+   outputs) and a strict parser whose rejection behaviour the consumers
+   control — malformed input or a stale schema becomes an error value,
+   never a crash. *)
 
 type t =
   | Null
@@ -10,7 +11,6 @@ type t =
   | Str of string
   | Arr of t list
   | Obj of (string * t) list
-  | Raw of string
 
 let int n = Num (float_of_int n)
 
@@ -61,7 +61,6 @@ let rec add_json buf = function
           add_json buf v)
         fields;
       Buffer.add_char buf '}'
-  | Raw s -> Buffer.add_string buf s
 
 let to_string j =
   let buf = Buffer.create 256 in

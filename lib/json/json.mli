@@ -1,14 +1,14 @@
 (** A tiny self-contained JSON codec.
 
-    This is the one JSON implementation of the repository: the serve
-    wire protocol ({!Proto}), the batch report, the diagnostics
-    renderer and the bench report ({!Bench_report}) all emit through
-    it, and everything machine-readable parses back through {!parse}.
-    It is hand-rolled rather than a dependency because the consumers
-    need full control over rejection behaviour — the daemon must turn
-    a hostile frame into an error response (depth bound, trailing
-    garbage, malformed escapes), and the bench diff must turn a stale
-    schema into a clean error, never an exception. *)
+    This is the one JSON implementation of the repository: the batch
+    report ([Batch.to_json]), the diagnostics renderer
+    ([Diagnostic.to_json]), the [mfd] command line's [--json] outputs
+    and the bench report ([Bench_report]) all build a {!t} and emit it
+    through {!to_string}, and everything machine-readable parses back
+    through {!parse}.  It is hand-rolled rather than a dependency
+    because the consumers need full control over rejection behaviour —
+    the bench diff must turn a stale or malformed report into a clean
+    error, never an exception. *)
 
 type t =
   | Null
@@ -17,10 +17,6 @@ type t =
   | Str of string
   | Arr of t list
   | Obj of (string * t) list
-  | Raw of string
-      (** pre-rendered JSON emitted verbatim by {!to_string}; never
-          produced by {!parse}.  Used to embed already-rendered
-          reports (e.g. {!Diagnostic.to_json} output) byte-for-byte. *)
 
 val int : int -> t
 (** [Num (float_of_int n)] — integers survive the float carrier

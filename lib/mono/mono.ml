@@ -2,7 +2,7 @@
 
    [Unix.gettimeofday] is subject to NTP steps: a clock adjustment in
    the middle of a run yields negative or wildly skewed durations in
-   batch/serve reports.  All interval measurement in this library
+   batch and bench reports.  All interval measurement in this library
    (job timing, phase clocks, budget deadlines) goes through [now],
    which is CLOCK_MONOTONIC via the bechamel stub — a zero-dependency
    [@noalloc] external, safe to call concurrently from worker

@@ -1,7 +1,7 @@
 (** Monotonic time for durations.
 
     Every elapsed-time measurement of the library ({!Stats.clock},
-    {!Budget} deadlines, batch/serve job timing) uses {!now} — a
+    {!Budget} deadlines, batch job timing) uses {!now} — a
     monotonic clock that never jumps backwards, so an NTP step in the
     middle of a run cannot produce negative or skewed durations in
     reports.  {!wall} is the non-monotonic wall clock, to be used only

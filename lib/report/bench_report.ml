@@ -48,11 +48,15 @@ type report = {
 
 (* ---- measurement ---- *)
 
+(* [Gc.allocated_bytes] leaves out the minor heap's current fill, so
+   each reading is taken on an empty minor heap. *)
 let measure f =
+  Gc.minor ();
   let a0 = Gc.allocated_bytes () in
   let t0 = Mono.now () in
   let result = f () in
   let wall = Mono.now () -. t0 in
+  Gc.minor ();
   let alloc = Gc.allocated_bytes () -. a0 in
   (result, wall, alloc)
 

@@ -80,9 +80,13 @@ type report = {
 
 val measure : (unit -> 'a) -> 'a * float * float
 (** [measure f] runs [f] and returns [(result, wall_seconds,
-    alloc_bytes)].  Wall time is {!Mono.now}-based; allocation is the
-    [Gc.allocated_bytes] delta, which is deterministic for a fixed
-    workload and hence gateable. *)
+    alloc_bytes)].  Wall time is {!Mono.now}-based.  Allocation is the
+    [Gc.allocated_bytes] delta between two readings, each taken right
+    after a forced minor collection: [Gc.allocated_bytes] does not count
+    the minor heap's current fill, so without the collections a reading
+    would be off by up to one minor heap.  With them the delta is every
+    byte [f] allocated, exact and deterministic for a fixed workload and
+    hence gateable.  The wall time excludes the second collection. *)
 
 val created_now : unit -> string
 (** Current UTC time in the {!report.created} format. *)

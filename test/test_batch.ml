@@ -89,8 +89,8 @@ let batch_tests =
       (fun () ->
         (* Each category of job failure must keep its structured kind in
            the report — the old string flattening made them
-           indistinguishable (the serve protocol maps kinds to
-           client-error vs engine-fault codes). *)
+           indistinguishable (a bad input is a client error, the others
+           are engine faults). *)
         let reject kind msg =
           Batch.job ~name:(Batch.error_kind_name kind) (fun _ ->
               raise (Batch.Job_rejected (kind, msg)))
@@ -176,7 +176,12 @@ let batch_tests =
           (contains json "\"status\":\"ok\""
           && contains json "\"status\":\"failed\"");
         check_bool "json escapes the error" true
-          (contains json "parse error"));
+          (contains json "parse error");
+        match Json.parse json with
+        | Error msg -> Alcotest.failf "Json.parse rejects the report: %s" msg
+        | Ok j ->
+            check_int "one parsed row per job" 2
+              (List.length (Option.get (Json.mem_list "jobs" j))));
   ]
 
 (* The headline property: the per-job results of a parallel batch are

@@ -313,8 +313,24 @@ let test_write_load () =
       Sys.remove latest;
       Unix.rmdir dir
 
+(* A list of [n] fresh pairs costs 6 words a cell: a 3-word cons and a
+   3-word pair, all on the minor heap.  Every reading must be within
+   1 KB of that, wherever the minor heap stood when it was taken. *)
+let test_measure_alloc () =
+  let rec pairs n acc = if n = 0 then acc else pairs (n - 1) ((n, n) :: acc) in
+  let n = 4096 in
+  let expected = float_of_int (n * 6 * (Sys.word_size / 8)) in
+  for _ = 1 to 5 do
+    let l, _, alloc = R.measure (fun () -> pairs n []) in
+    Alcotest.(check int) "the list was built" n (List.length l);
+    if Float.abs (alloc -. expected) > 1024. then
+      Alcotest.failf "measured %.0f B, allocated %.0f B" alloc expected
+  done
+
 let suite =
   [
+    Alcotest.test_case "measure counts minor-heap allocation" `Quick
+      test_measure_alloc;
     Alcotest.test_case "schema round trip" `Quick test_roundtrip;
     Alcotest.test_case "stats round trip" `Quick test_stats_roundtrip;
     Alcotest.test_case "stats JSON matches bench schema" `Quick

@@ -488,6 +488,40 @@ let pure_observer =
 
 let props = [ ternary_sound; vacuous_sound; obs_sound; pure_observer ]
 
+(* The shipped example circuits under deep lint: with and without
+   screening the findings are identical, and with it off nothing is
+   screened.  The test's dune stanza copies the circuits next to the
+   test directory. *)
+let examples_dir = "../examples/circuits"
+
+let test_examples_pure_observer () =
+  let blifs =
+    Sys.readdir examples_dir |> Array.to_list
+    |> List.filter (fun f -> Filename.check_suffix f ".blif")
+    |> List.sort compare
+  in
+  check_bool "example circuits found" true (blifs <> []);
+  List.iter
+    (fun file ->
+      let net = Blif.parse_file (Filename.concat examples_dir file) in
+      if Diagnostic.errors (Net_check.analyze net) = [] then begin
+        let report dataflow =
+          Semantics.analyze_report ~dataflow (Bdd.manager ())
+            ~var_of_input:(var_of_input_of net) net
+        in
+        let a = report true and b = report false in
+        check_bool (file ^ ": same findings either way") true
+          (Diagnostic.normalize a.Semantics.findings
+          = Diagnostic.normalize b.Semantics.findings);
+        check_int (file ^ ": nothing screened with screening off") 0
+          b.Semantics.coverage.Semantics.screened_out
+      end)
+    blifs
+
 let suite =
   solver_tests @ ternary_tests @ support_tests @ screening_tests
+  @ [
+      Alcotest.test_case "screening is a pure observer on the examples"
+        `Quick test_examples_pure_observer;
+    ]
   @ List.map (fun p -> QCheck_alcotest.to_alcotest ~long:false p) props

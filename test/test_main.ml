@@ -21,6 +21,5 @@ let () =
       ("semantics", Test_semantics.suite);
       ("optimize", Test_optimize.suite);
       ("objective", Test_objective.suite);
-      ("serve", Test_serve.suite);
       ("bench-report", Test_bench_report.suite);
     ]
