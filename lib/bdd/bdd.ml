@@ -1,64 +1,58 @@
-type t = { id : int; node : node }
+(* Constants are immediates; an internal node is one block whose fields
+   the unique table probes in place. *)
+type t = Zero | One | Node of { id : int; v : int; lo : t; hi : t }
 
-and node =
-  | Zero
-  | One
-  | Node of { v : int; lo : t; hi : t }
+let id = function Zero -> 0 | One -> 1 | Node n -> n.id
 
-(* Keys of the unique table: (variable, id of lo child, id of hi child). *)
-module Unique_key = struct
-  type t = int * int * int
+(* Position in the variable order; constants sit below every variable. *)
+let level = function Node n -> n.v | Zero | One -> max_int
 
-  let equal (a1, b1, c1) (a2, b2, c2) = a1 = a2 && b1 = b2 && c1 = c2
-  let hash (a, b, c) = (a * 0x9e3779b1) lxor (b * 0x85ebca6b) lxor (c * 0xc2b2ae35)
-end
+module Int_table = Hashtbl.Make (struct
+  type t = int
 
-module Unique_table = Hashtbl.Make (Unique_key)
-
-module Op_key = struct
-  type t = int * int * int
-
-  let equal (a1, b1, c1) (a2, b2, c2) = a1 = a2 && b1 = b2 && c1 = c2
-  let hash (a, b, c) = (a * 0x27d4eb2f) lxor (b * 0x9e3779b1) lxor (c * 0x85ebca6b)
-end
-
-module Op_cache = Hashtbl.Make (Op_key)
+  let equal = Int.equal
+  let hash x = x
+end)
 
 type manager = {
   mutable next_id : int;
-  unique : t Unique_table.t;
-  bzero : t;
-  bone : t;
-  (* (op_code, id1, id2) -> result.  ITE uses a separate cache because its
-     key has three node ids. *)
-  binop_cache : t Op_cache.t;
-  ite_cache : t Op_cache.t;
-  not_cache : (int, t) Hashtbl.t;
-  (* (f.id, var*2 + bool) -> cofactor *)
-  restrict_cache : t Op_cache.t;
+  (* Unique table: open addressing with linear probing over a
+     power-of-two array, at most half full.  A slot holds the node
+     itself ([Zero] marks an empty slot), so a probe compares
+     [(v, lo id, hi id)] read from the node and allocates nothing. *)
+  mutable unique : t array;
+  (* Computed table, shared by and/or/xor/not/ite/restrict: direct-mapped
+     and lossy.  Entry [i] is keyed by the three ints
+     [keys.(3i) .. keys.(3i+2)] (operand ids, the operation code packed
+     into the first) and holds [results.(i)]; a colliding insertion
+     overwrites, and [keys.(3i) = -1] marks an empty entry.  It only
+     ever holds completed results. *)
+  mutable keys : int array;
+  mutable results : t array;
   (* node id -> sorted support, memoized for the node's lifetime *)
-  support_cache : (int, int list) Hashtbl.t;
+  support_cache : int list Int_table.t;
   (* Resource-governor hook: called with the live node count once every
      [growth_interval] fresh allocations.  May raise to abort the
-     current operation; the unique table and all caches only ever hold
-     completed results, so an abort cannot corrupt the manager. *)
+     current operation; both tables only ever hold completed results,
+     so an abort cannot corrupt the manager. *)
   mutable growth_hook : (int -> unit) option;
   mutable growth_tick : int;
 }
 
 let growth_interval = 1024
 
-let manager ?(cache_size = 4096) () =
+(* The computed table has as many entries as the unique table has slots,
+   up to [cache_cap] entries (8 MB). *)
+let initial_slots = 4096
+let cache_cap = 1 lsl 18
+
+let manager () =
   {
     next_id = 2;
-    unique = Unique_table.create cache_size;
-    bzero = { id = 0; node = Zero };
-    bone = { id = 1; node = One };
-    binop_cache = Op_cache.create cache_size;
-    ite_cache = Op_cache.create cache_size;
-    not_cache = Hashtbl.create cache_size;
-    restrict_cache = Op_cache.create cache_size;
-    support_cache = Hashtbl.create cache_size;
+    unique = Array.make initial_slots Zero;
+    keys = Array.make (3 * initial_slots) (-1);
+    results = Array.make initial_slots Zero;
+    support_cache = Int_table.create 1024;
     growth_hook = None;
     growth_tick = growth_interval;
   }
@@ -67,189 +61,229 @@ let set_growth_hook m hook =
   m.growth_hook <- hook;
   m.growth_tick <- growth_interval
 
-let clear_caches m =
-  Op_cache.reset m.binop_cache;
-  Op_cache.reset m.ite_cache;
-  Hashtbl.reset m.not_cache;
-  Op_cache.reset m.restrict_cache
+let node_count m = m.next_id - 2
+let zero _ = Zero
+let one _ = One
+let equal a b = id a = id b
+let compare a b = Int.compare (id a) (id b)
+let hash = id
+let is_zero = function Zero -> true | One | Node _ -> false
+let is_one = function One -> true | Zero | Node _ -> false
+let is_const = function Zero | One -> true | Node _ -> false
 
-let node_count m = Unique_table.length m.unique
-let zero m = m.bzero
-let one m = m.bone
-let equal a b = a.id = b.id
-let compare a b = Stdlib.compare a.id b.id
-let hash a = a.id
-let id a = a.id
-let is_zero a = a.id = 0
-let is_one a = a.id = 1
-let is_const a = a.id < 2
-
-let view a =
-  match a.node with
+let view = function
   | Zero -> `Zero
   | One -> `One
-  | Node { v; lo; hi } -> `Node (v, lo, hi)
+  | Node { v; lo; hi; _ } -> `Node (v, lo, hi)
 
-let top_var a =
-  match a.node with
+let top_var = function
   | Node { v; _ } -> v
   | Zero | One -> invalid_arg "Bdd.top_var: constant"
 
+(* Slot index material for three ints: odd multipliers, then the high
+   bits folded onto the low ones that a power-of-two mask keeps. *)
+let hash3 a b c =
+  let h =
+    (a * 0x2545f4914f6cdd1d) + (b * 0x1e3779b97f4a7c15) + (c * 0x27d4eb2f165667c5)
+  in
+  h lxor (h lsr 29)
+
+(* ---- unique table ---- *)
+
+(* Index of the slot holding node [(v, lo, hi)], or of the empty slot
+   where it belongs. *)
+let rec find_slot slots mask v lo hi i =
+  match slots.(i) with
+  | Node n when n.v = v && id n.lo = lo && id n.hi = hi -> i
+  | Node _ -> find_slot slots mask v lo hi ((i + 1) land mask)
+  | Zero | One -> i
+
+let place slots node =
+  match node with
+  | Node n ->
+      let lo = id n.lo and hi = id n.hi and mask = Array.length slots - 1 in
+      slots.(find_slot slots mask n.v lo hi (hash3 n.v lo hi land mask)) <- node
+  | Zero | One -> ()
+
+(* The computed table is lossy, so a larger one may start empty. *)
+let grow m =
+  let slots = Array.make (2 * Array.length m.unique) Zero in
+  Array.iter (place slots) m.unique;
+  m.unique <- slots;
+  let entries = min cache_cap (Array.length slots) in
+  if entries > Array.length m.results then begin
+    m.keys <- Array.make (3 * entries) (-1);
+    m.results <- Array.make entries Zero
+  end
+
 (* The single constructor maintaining reduction and sharing. *)
 let mk m v lo hi =
-  if lo.id = hi.id then lo
+  let lo_id = id lo and hi_id = id hi in
+  if lo_id = hi_id then lo
   else
-    let key = (v, lo.id, hi.id) in
-    match Unique_table.find_opt m.unique key with
-    | Some n -> n
-    | None ->
-        let n = { id = m.next_id; node = Node { v; lo; hi } } in
+    let slots = m.unique in
+    let mask = Array.length slots - 1 in
+    let i = find_slot slots mask v lo_id hi_id (hash3 v lo_id hi_id land mask) in
+    match slots.(i) with
+    | Node _ as n -> n
+    | Zero | One ->
+        let n = Node { id = m.next_id; v; lo; hi } in
         m.next_id <- m.next_id + 1;
-        Unique_table.add m.unique key n;
+        slots.(i) <- n;
+        if 2 * node_count m > Array.length slots then grow m;
         m.growth_tick <- m.growth_tick - 1;
         if m.growth_tick <= 0 then begin
           m.growth_tick <- growth_interval;
           match m.growth_hook with
-          | Some hook -> hook (Unique_table.length m.unique)
+          | Some hook -> hook (node_count m)
           | None -> ()
         end;
         n
 
-let var m i = mk m i m.bzero m.bone
+let var m i = mk m i Zero One
+let nvar m i = mk m i One Zero
 
-let nvar m i = mk m i m.bone m.bzero
+(* ---- computed table ---- *)
 
-let not_ m f =
-  let rec go f =
-    match f.node with
-    | Zero -> m.bone
-    | One -> m.bzero
-    | Node { v; lo; hi } -> (
-        match Hashtbl.find_opt m.not_cache f.id with
-        | Some r -> r
-        | None ->
-            let r = mk m v (go lo) (go hi) in
-            Hashtbl.add m.not_cache f.id r;
-            r)
-  in
-  go f
+let op_and = 0
+let op_or = 1
+let op_xor = 2
+let op_not = 3
+let op_ite = 4
+let op_restrict = 5
 
-(* Binary operations via Shannon expansion with terminal cases per op. *)
-type binop = Op_and | Op_or | Op_xor
+(* What a lookup returns on a miss; never stored, compared physically. *)
+let absent = Node { id = -1; v = max_int; lo = Zero; hi = Zero }
 
-let binop_code = function Op_and -> 0 | Op_or -> 1 | Op_xor -> 2
+let cache_find m k0 k1 k2 =
+  let keys = m.keys in
+  let i = hash3 k0 k1 k2 land (Array.length m.results - 1) in
+  if keys.(3 * i) = k0 && keys.((3 * i) + 1) = k1 && keys.((3 * i) + 2) = k2
+  then m.results.(i)
+  else absent
 
-let apply m op =
-  let code = binop_code op in
-  let terminal f g =
-    match op with
-    | Op_and ->
-        if f.id = 0 || g.id = 0 then Some m.bzero
-        else if f.id = 1 then Some g
-        else if g.id = 1 then Some f
-        else if f.id = g.id then Some f
-        else None
-    | Op_or ->
-        if f.id = 1 || g.id = 1 then Some m.bone
-        else if f.id = 0 then Some g
-        else if g.id = 0 then Some f
-        else if f.id = g.id then Some f
-        else None
-    | Op_xor ->
-        if f.id = 0 then Some g
-        else if g.id = 0 then Some f
-        else if f.id = g.id then Some m.bzero
-        else if f.id = 1 then Some (not_ m g)
-        else if g.id = 1 then Some (not_ m f)
-        else None
-  in
-  let rec go f g =
-    match terminal f g with
-    | Some r -> r
-    | None -> (
-        (* Commutative ops: normalize the key. *)
-        let a, b = if f.id <= g.id then (f, g) else (g, f) in
-        let key = (code, a.id, b.id) in
-        match Op_cache.find_opt m.binop_cache key with
-        | Some r -> r
-        | None ->
-            let split x v =
-              match x.node with
-              | Node { v = xv; lo; hi } when xv = v -> (lo, hi)
-              | Zero | One | Node _ -> (x, x)
-            in
-            let v =
-              match (a.node, b.node) with
-              | Node { v = va; _ }, Node { v = vb; _ } -> min va vb
-              | Node { v = va; _ }, (Zero | One) -> va
-              | (Zero | One), Node { v = vb; _ } -> vb
-              | (Zero | One), (Zero | One) -> assert false
-            in
-            let alo, ahi = split a v and blo, bhi = split b v in
-            let r = mk m v (go alo blo) (go ahi bhi) in
-            Op_cache.add m.binop_cache key r;
-            r)
-  in
-  go
+let cache_add m k0 k1 k2 r =
+  let keys = m.keys in
+  let i = hash3 k0 k1 k2 land (Array.length m.results - 1) in
+  keys.(3 * i) <- k0;
+  keys.((3 * i) + 1) <- k1;
+  keys.((3 * i) + 2) <- k2;
+  m.results.(i) <- r
 
-let and_ m f g = apply m Op_and f g
-let or_ m f g = apply m Op_or f g
-let xor m f g = apply m Op_xor f g
+(* Cofactors of [f] at level [v], which is at or above [f]'s top. *)
+let cof_lo f v = match f with Node n when n.v = v -> n.lo | Zero | One | Node _ -> f
+let cof_hi f v = match f with Node n when n.v = v -> n.hi | Zero | One | Node _ -> f
+
+(* ---- recursive workers ----
+
+   Each builds the hi branch before the lo branch, so nodes get the ids
+   they always had. *)
+
+let rec not_ m f =
+  match f with
+  | Zero -> One
+  | One -> Zero
+  | Node n ->
+      let k0 = (n.id lsl 3) lor op_not in
+      let r = cache_find m k0 0 0 in
+      if r != absent then r
+      else
+        let hi = not_ m n.hi in
+        let lo = not_ m n.lo in
+        let r = mk m n.v lo hi in
+        cache_add m k0 0 0 r;
+        r
+
+(* and/or/xor by Shannon expansion, with terminal cases per operation. *)
+let rec apply_rec m op f g =
+  let fi = id f and gi = id g in
+  if op = op_and then
+    if fi = 0 || gi = 0 then Zero
+    else if fi = 1 then g
+    else if gi = 1 then f
+    else if fi = gi then f
+    else apply_node m op fi gi f g
+  else if op = op_or then
+    if fi = 1 || gi = 1 then One
+    else if fi = 0 then g
+    else if gi = 0 then f
+    else if fi = gi then f
+    else apply_node m op fi gi f g
+  else if fi = 0 then g
+  else if gi = 0 then f
+  else if fi = gi then Zero
+  else if fi = 1 then not_ m g
+  else if gi = 1 then not_ m f
+  else apply_node m op fi gi f g
+
+(* Both operands internal and distinct; the operations commute, so the
+   smaller id goes first in the key and in the recursion. *)
+and apply_node m op fi gi f g =
+  if fi > gi then apply_node m op gi fi g f
+  else
+    let k0 = (fi lsl 3) lor op in
+    let r = cache_find m k0 gi 0 in
+    if r != absent then r
+    else
+      let lf = level f and lg = level g in
+      let v = if lf <= lg then lf else lg in
+      let hi = apply_rec m op (cof_hi f v) (cof_hi g v) in
+      let lo = apply_rec m op (cof_lo f v) (cof_lo g v) in
+      let r = mk m v lo hi in
+      cache_add m k0 gi 0 r;
+      r
+
+let and_ m f g = apply_rec m op_and f g
+let or_ m f g = apply_rec m op_or f g
+let xor m f g = apply_rec m op_xor f g
 let nand m f g = not_ m (and_ m f g)
 let nor m f g = not_ m (or_ m f g)
 let xnor m f g = not_ m (xor m f g)
 let imp m f g = or_ m (not_ m f) g
 let diff m f g = and_ m f (not_ m g)
 
-let ite m f g h =
-  let rec go f g h =
-    if f.id = 1 then g
-    else if f.id = 0 then h
-    else if g.id = h.id then g
-    else if g.id = 1 && h.id = 0 then f
-    else if g.id = 0 && h.id = 1 then not_ m f
+let rec ite m f g h =
+  let fi = id f and gi = id g and hj = id h in
+  if fi = 1 then g
+  else if fi = 0 then h
+  else if gi = hj then g
+  else if gi = 1 && hj = 0 then f
+  else if gi = 0 && hj = 1 then not_ m f
+  else
+    let k0 = (fi lsl 3) lor op_ite in
+    let r = cache_find m k0 gi hj in
+    if r != absent then r
     else
-      let key = (f.id, g.id, h.id) in
-      match Op_cache.find_opt m.ite_cache key with
-      | Some r -> r
-      | None ->
-          let topv x acc =
-            match x.node with Node { v; _ } -> min v acc | Zero | One -> acc
-          in
-          let v = topv f (topv g (topv h max_int)) in
-          let split x =
-            match x.node with
-            | Node { v = xv; lo; hi } when xv = v -> (lo, hi)
-            | Zero | One | Node _ -> (x, x)
-          in
-          let flo, fhi = split f and glo, ghi = split g and hlo, hhi = split h in
-          let r = mk m v (go flo glo hlo) (go fhi ghi hhi) in
-          Op_cache.add m.ite_cache key r;
-          r
-  in
-  go f g h
+      let lf = level f and lg = level g and lh = level h in
+      let v = if lf <= lg then lf else lg in
+      let v = if v <= lh then v else lh in
+      let r_hi = ite m (cof_hi f v) (cof_hi g v) (cof_hi h v) in
+      let r_lo = ite m (cof_lo f v) (cof_lo g v) (cof_lo h v) in
+      let r = mk m v r_lo r_hi in
+      cache_add m k0 gi hj r;
+      r
 
-let and_list m fs = List.fold_left (and_ m) m.bone fs
-let or_list m fs = List.fold_left (or_ m) m.bzero fs
+let and_list m fs = List.fold_left (and_ m) One fs
+let or_list m fs = List.fold_left (or_ m) Zero fs
 
-let restrict m f v b =
-  let tag = (v * 2) + if b then 1 else 0 in
-  let rec go f =
-    match f.node with
-    | Zero | One -> f
-    | Node { v = fv; lo; hi } ->
-        if fv > v then f
-        else if fv = v then if b then hi else lo
+let rec restrict_rec m v b tag f =
+  match f with
+  | Zero | One -> f
+  | Node n ->
+      if n.v > v then f
+      else if n.v = v then if b then n.hi else n.lo
+      else
+        let k0 = (n.id lsl 3) lor op_restrict in
+        let r = cache_find m k0 tag 0 in
+        if r != absent then r
         else
-          let key = (f.id, tag, -1) in
-          (match Op_cache.find_opt m.restrict_cache key with
-          | Some r -> r
-          | None ->
-              let r = mk m fv (go lo) (go hi) in
-              Op_cache.add m.restrict_cache key r;
-              r)
-  in
-  go f
+          let hi = restrict_rec m v b tag n.hi in
+          let lo = restrict_rec m v b tag n.lo in
+          let r = mk m n.v lo hi in
+          cache_add m k0 tag 0 r;
+          r
+
+let restrict m f v b = restrict_rec m v b ((v * 2) + if b then 1 else 0) f
 
 let cofactor2 m f v = (restrict m f v false, restrict m f v true)
 
@@ -276,56 +310,56 @@ let compose m f v g =
 (* Memoized per node: support(f) = {top} U support(lo) U support(hi),
    merged as sorted lists.  Nodes are immutable and never collected, so
    the cache never invalidates. *)
-let support m f =
-  let rec merge a b =
-    match (a, b) with
-    | [], l | l, [] -> l
-    | x :: xs, y :: ys ->
-        if x < y then x :: merge xs b
-        else if y < x then y :: merge a ys
-        else x :: merge xs ys
-  in
-  let rec go f =
-    match f.node with
-    | Zero | One -> []
-    | Node { v; lo; hi } -> (
-        match Hashtbl.find_opt m.support_cache f.id with
-        | Some s -> s
-        | None ->
-            let s = merge [ v ] (merge (go lo) (go hi)) in
-            Hashtbl.add m.support_cache f.id s;
-            s)
-  in
-  go f
+let rec merge (a : int list) b =
+  match (a, b) with
+  | [], l | l, [] -> l
+  | x :: xs, y :: ys ->
+      if x < y then x :: merge xs b
+      else if y < x then y :: merge a ys
+      else x :: merge xs ys
 
-let depends_on f v =
+let rec support m f =
+  match f with
+  | Zero | One -> []
+  | Node n -> (
+      match Int_table.find m.support_cache n.id with
+      | s -> s
+      | exception Not_found ->
+          let s = merge [ n.v ] (merge (support m n.lo) (support m n.hi)) in
+          Int_table.add m.support_cache n.id s;
+          s)
+
+(* Does some function of [fs] mention a variable of [vars]?  One walk of
+   their shared DAG, cut below the deepest variable of [vars]. *)
+let mentions_any fs vars =
+  let deepest = List.fold_left max min_int vars in
   let seen = Hashtbl.create 64 in
-  let rec go f =
-    match f.node with
+  let rec go = function
     | Zero | One -> false
-    | Node { v = fv; lo; hi } ->
-        if fv > v then false
-        else if fv = v then true
-        else if Hashtbl.mem seen f.id then false
-        else begin
-          Hashtbl.add seen f.id ();
-          go lo || go hi
-        end
+    | Node n ->
+        n.v <= deepest
+        && (List.mem n.v vars
+           || (not (Hashtbl.mem seen n.id))
+              && begin
+                   Hashtbl.add seen n.id ();
+                   go n.lo || go n.hi
+                 end)
   in
-  go f
+  List.exists go fs
+
+let depends_on f v = mentions_any [ f ] [ v ]
 
 let size_list fs =
   let seen = Hashtbl.create 64 in
   let count = ref 0 in
-  let rec go f =
-    match f.node with
+  let rec go = function
     | Zero | One -> ()
-    | Node { lo; hi; _ } ->
-        if not (Hashtbl.mem seen f.id) then begin
-          Hashtbl.add seen f.id ();
+    | Node n ->
+        if not (Hashtbl.mem seen n.id) then begin
+          Hashtbl.add seen n.id ();
           incr count;
-          go lo;
-          go hi
+          go n.lo;
+          go n.hi
         end
   in
   List.iter go fs;
@@ -336,10 +370,7 @@ let size f = size_list [ f ]
 let vector_compose m f subst =
   (* Replacement functions must not mention substituted variables, so that
      sequential composition coincides with simultaneous substitution. *)
-  assert (
-    List.for_all
-      (fun (_, g) -> List.for_all (fun (w, _) -> not (depends_on g w)) subst)
-      subst);
+  assert (not (mentions_any (List.map snd subst) (List.map fst subst)));
   List.fold_left (fun acc (v, g) -> compose m acc v g) f subst
 
 let swap_vars m f i j =
@@ -359,14 +390,14 @@ let rename m f pi =
      [pi] is not monotone.  Memoized per (function, this call). *)
   let cache = Hashtbl.create 64 in
   let rec go f =
-    match f.node with
+    match f with
     | Zero | One -> f
-    | Node { v; lo; hi } -> (
-        match Hashtbl.find_opt cache f.id with
+    | Node { id; v; lo; hi } -> (
+        match Hashtbl.find_opt cache id with
         | Some r -> r
         | None ->
             let r = ite m (var m (pi v)) (go hi) (go lo) in
-            Hashtbl.add cache f.id r;
+            Hashtbl.add cache id r;
             r)
   in
   go f
@@ -385,52 +416,51 @@ let sat_count m f ~nvars =
   let rec go f =
     (* Number of satisfying assignments of the variables strictly below
        the top of [f], counted relative to the top variable level. *)
-    match f.node with
+    match f with
     | Zero -> 0.0
     | One -> 1.0
-    | Node { v; lo; hi } -> (
-        match Hashtbl.find_opt cache f.id with
+    | Node { id; v; lo; hi } -> (
+        match Hashtbl.find_opt cache id with
         | Some r -> r
         | None ->
             let weight g =
               let level_gap =
-                match g.node with
+                match g with
                 | Node { v = gv; _ } -> gv - v - 1
                 | Zero | One -> nvars - v - 1
               in
               go g *. (2.0 ** float_of_int level_gap)
             in
             let r = weight lo +. weight hi in
-            Hashtbl.add cache f.id r;
+            Hashtbl.add cache id r;
             r)
   in
-  match f.node with
+  match f with
   | Zero -> 0.0
   | One -> 2.0 ** float_of_int nvars
   | Node { v; _ } -> go f *. (2.0 ** float_of_int v)
 
 let eval f assignment =
-  let rec go f =
-    match f.node with
+  let rec go = function
     | Zero -> false
     | One -> true
-    | Node { v; lo; hi } -> if assignment v then go hi else go lo
+    | Node { v; lo; hi; _ } -> if assignment v then go hi else go lo
   in
   go f
 
 let any_sat f =
   let rec go f acc =
-    match f.node with
+    match f with
     | Zero -> raise Not_found
     | One -> List.rev acc
-    | Node { v; lo; hi } ->
-        if lo.id <> 0 then go lo ((v, false) :: acc) else go hi ((v, true) :: acc)
+    | Node { v; lo; hi; _ } ->
+        if id lo <> 0 then go lo ((v, false) :: acc) else go hi ((v, true) :: acc)
   in
   go f []
 
 let random m ~nvars ~density st =
   let rec go v =
-    if v = nvars then if Random.State.float st 1.0 < density then m.bone else m.bzero
+    if v = nvars then if Random.State.float st 1.0 < density then One else Zero
     else mk m v (go (v + 1)) (go (v + 1))
   in
   go 0
@@ -500,28 +530,26 @@ let minterm_of_code m vars code =
   in
   and_list m lits
 
-let rec pp fmt f =
-  match f.node with
+let rec pp fmt = function
   | Zero -> Format.fprintf fmt "0"
   | One -> Format.fprintf fmt "1"
-  | Node { v; lo; hi } -> Format.fprintf fmt "(x%d ? %a : %a)" v pp hi pp lo
+  | Node { v; lo; hi; _ } -> Format.fprintf fmt "(x%d ? %a : %a)" v pp hi pp lo
 
 let to_dot ?(name = "bdd") fs =
   let buf = Buffer.create 256 in
   Buffer.add_string buf (Printf.sprintf "digraph %s {\n" name);
   let seen = Hashtbl.create 64 in
   let rec go f =
-    if not (Hashtbl.mem seen f.id) then begin
-      Hashtbl.add seen f.id ();
-      match f.node with
+    if not (Hashtbl.mem seen (id f)) then begin
+      Hashtbl.add seen (id f) ();
+      match f with
       | Zero -> Buffer.add_string buf "  n0 [shape=box,label=\"0\"];\n"
       | One -> Buffer.add_string buf "  n1 [shape=box,label=\"1\"];\n"
-      | Node { v; lo; hi } ->
+      | Node { id = fid; v; lo; hi } ->
+          Buffer.add_string buf (Printf.sprintf "  n%d [label=\"x%d\"];\n" fid v);
           Buffer.add_string buf
-            (Printf.sprintf "  n%d [label=\"x%d\"];\n" f.id v);
-          Buffer.add_string buf
-            (Printf.sprintf "  n%d -> n%d [style=dashed];\n" f.id lo.id);
-          Buffer.add_string buf (Printf.sprintf "  n%d -> n%d;\n" f.id hi.id);
+            (Printf.sprintf "  n%d -> n%d [style=dashed];\n" fid (id lo));
+          Buffer.add_string buf (Printf.sprintf "  n%d -> n%d;\n" fid (id hi));
           go lo;
           go hi
     end
@@ -531,7 +559,7 @@ let to_dot ?(name = "bdd") fs =
     (fun i f ->
       Buffer.add_string buf
         (Printf.sprintf "  f%d [shape=plaintext,label=\"f%d\"];\n  f%d -> n%d;\n"
-           i i i f.id))
+           i i i (id f)))
     fs;
   Buffer.add_string buf "}\n";
   Buffer.contents buf

@@ -7,45 +7,50 @@
     monotonically, which is adequate for the synthesis workloads of this
     library.
 
+    {b Tables.}  The unique table is open-addressed: its slots hold the
+    nodes themselves and a lookup compares (variable, lo id, hi id) read
+    from the node, so finding or creating a node allocates only the new
+    node.  One direct-mapped, lossy computed table memoizes and, or,
+    xor, not, ite and restrict, keyed on packed operand ids.  Both size
+    themselves from the node count: the unique table doubles at half
+    load and the computed table follows it up to a fixed cap.  A node's
+    id is its creation rank, and whether an operation hits the computed
+    table never changes which nodes exist, so ids depend only on the
+    sequence of operations.
+
     Mixing nodes of different managers in one operation is a programming
     error; it is detected (cheaply, via node ids) only by assertions.
 
     {b Domain safety.}  All mutable state of this library — the unique
-    table, the operation caches, the variable-swap bookkeeping, the
-    growth hook — lives inside a {!manager} value; the library keeps no
-    top-level mutable state whatsoever.  A single manager is {e not}
-    thread-safe, but distinct managers are fully independent: separate
-    OCaml domains may each own a manager and operate concurrently
-    without any synchronization ([Decomp.Batch] relies on exactly
-    this).  Node ids are allocated per manager from a fresh counter, so
-    a run on a fresh manager is reproducible regardless of what other
-    domains do. *)
+    table, the computed table, the support memo, the growth hook — lives
+    inside a {!manager} value; the library keeps no top-level mutable
+    state whatsoever.  A single manager is {e not} thread-safe, but
+    distinct managers are fully independent: separate OCaml domains may
+    each own a manager and operate concurrently without any
+    synchronization ([Decomp.Batch] relies on exactly this).  Node ids
+    are allocated per manager from a fresh counter, so a run on a fresh
+    manager is reproducible regardless of what other domains do. *)
 
 type manager
 
 type t
 (** A BDD node, tied to the manager that created it. *)
 
-val manager : ?cache_size:int -> unit -> manager
-(** Create a fresh manager. [cache_size] is the initial size of the
-    operation caches (default 4096). *)
-
-val clear_caches : manager -> unit
-(** Drop all memoized operation results (the unique table is kept, so
-    node identity is preserved). *)
+val manager : unit -> manager
+(** Create a fresh manager. *)
 
 val node_count : manager -> int
 (** Total number of live internal nodes in the unique table. *)
 
 val set_growth_hook : manager -> (int -> unit) option -> unit
 (** Install (or remove, with [None]) a resource-governor hook: it is
-    called with the live node count once every ~1000 fresh node
-    allocations, i.e. at operation boundaries of the recursive apply
-    procedures.  The hook may raise to abort the operation in progress;
-    this is safe, because the unique table and the operation caches only
-    ever record completed results — an abort leaves the manager fully
-    usable.  Used by [Decomp.Budget] to enforce node budgets and
-    wall-clock deadlines. *)
+    called with {!node_count} once every 1024 fresh node allocations
+    (counted from the call that installed it), i.e. at operation
+    boundaries of the recursive apply procedures.  The hook may raise
+    to abort the operation in progress; this is safe, because the
+    unique table and the computed table only ever record completed
+    results — an abort leaves the manager fully usable.  Used by
+    [Decomp.Budget] to enforce node budgets and wall-clock deadlines. *)
 
 (** {1 Constants and variables} *)
 
@@ -113,8 +118,9 @@ val compose : manager -> t -> int -> t -> t
 
 val vector_compose : manager -> t -> (int * t) list -> t
 (** Simultaneous substitution.  The substituted variables must not occur
-    in the replacement functions (checked by assertion), which is the
-    only case this library needs. *)
+    in the replacement functions (checked by assertion, in one walk of
+    the replacement functions' shared DAG), which is the only case this
+    library needs. *)
 
 val swap_vars : manager -> t -> int -> int -> t
 (** [swap_vars m f i j] is [f] with variables [i] and [j] exchanged. *)

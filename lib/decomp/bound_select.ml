@@ -11,8 +11,13 @@ let score ?cache ?stats ?(lut_size = max_int) ?(cost = Cost.area) m isfs bound =
     List.filter_map
       (fun f ->
         let overlap =
-          List.length
-            (List.filter (fun v -> List.mem v (Isf.support m f)) bound)
+          (* Read once per call; an empty bound set never reads it, as
+             [Isf.support] may build the off-set's nodes. *)
+          match bound with
+          | [] -> 0
+          | _ ->
+              let sup = Isf.support m f in
+              List.length (List.filter (fun v -> List.mem v sup) bound)
         in
         if overlap = 0 then None else Some (f, overlap))
       isfs

@@ -57,8 +57,17 @@ let swap_vars m t i j =
 let negate_var m t v =
   make m ~on:(Bdd.negate_var m t.on v) ~dc:(Bdd.negate_var m t.dc v)
 
+(* Both supports are memoized ascending lists: merge them. *)
 let support m t =
-  List.sort_uniq Stdlib.compare (Bdd.support m t.on @ Bdd.support m (off m t))
+  let rec union (a : int list) b =
+    match (a, b) with
+    | [], l | l, [] -> l
+    | x :: xs, y :: ys ->
+        if x < y then x :: union xs b
+        else if y < x then y :: union a ys
+        else x :: union xs ys
+  in
+  union (Bdd.support m t.on) (Bdd.support m (off m t))
 
 let random_extension m t st =
   if Bdd.is_zero t.dc then t.on

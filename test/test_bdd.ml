@@ -79,6 +79,25 @@ let basic_tests =
         let h = Bdd.compose man f 0 g in
         check_bool "compose = xor(and(x2,x3),x1)" true
           (Bdd.equal h (Bdd.xor man g (Bdd.var man 1))));
+    Alcotest.test_case "vector_compose checks its precondition" `Quick
+      (fun () ->
+        let x = Bdd.var man in
+        let f = Bdd.xor man (x 0) (Bdd.and_ man (x 1) (x 6)) in
+        let g =
+          Bdd.vector_compose man f [ (0, Bdd.or_ man (x 3) (x 4)); (1, x 5) ]
+        in
+        check_bool "simultaneous substitution" true
+          (Bdd.equal g
+             (Bdd.xor man (Bdd.or_ man (x 3) (x 4)) (Bdd.and_ man (x 5) (x 6))));
+        let rejected subst =
+          match Bdd.vector_compose man f subst with
+          | _ -> false
+          | exception Assert_failure _ -> true
+        in
+        check_bool "replacement is a substituted variable" true
+          (rejected [ (0, x 1); (1, x 5) ]);
+        check_bool "substituted variable below a replacement's root" true
+          (rejected [ (0, Bdd.and_ man (x 3) (x 6)); (6, x 5) ]));
     Alcotest.test_case "sat_count" `Quick (fun () ->
         let f = Bdd.or_ man (Bdd.var man 0) (Bdd.var man 1) in
         Alcotest.(check (float 0.0)) "or has 3 models over 2 vars" 3.0
@@ -235,6 +254,163 @@ let oracle_props =
           (Bv.of_bdd n (Bdd.compose man (bdd_of_bv a) 0 (bdd_of_bv g_bv))));
   ]
 
+(* The tables: growth hook, recovery from an aborted operation, lossy
+   computed table and node ids.  Each test runs on a fresh manager. *)
+
+let random_bv st n =
+  let density = 0.3 +. Random.State.float st 0.4 in
+  Bv.of_fun n (fun _ -> Random.State.float st 1.0 < density)
+
+(* Sum over the shared DAG of every node's id times a mix of its
+   children's ids: root ids alone do not see the order in which an
+   operation created the nodes below the root. *)
+let dag_signature fs =
+  let seen = Hashtbl.create 64 in
+  let rec go acc f =
+    match Bdd.view f with
+    | `Zero | `One -> acc
+    | `Node (_, lo, hi) ->
+        if Hashtbl.mem seen (Bdd.id f) then acc
+        else begin
+          Hashtbl.add seen (Bdd.id f) ();
+          go (go (acc + (Bdd.id f * ((3 * Bdd.id lo) + Bdd.id hi))) lo) hi
+        end
+  in
+  List.fold_left go 0 fs
+
+(* A fixed operation sequence; [table_tests] pins the ids it yields. *)
+let pinned_sequence () =
+  let m = Bdd.manager () in
+  let x = Bdd.var m in
+  (* An 8-bit adder with the operands in separate halves of the order:
+     exponential in the width, so it crosses the first table growth. *)
+  let carry = ref (Bdd.zero m) and sums = ref [] in
+  for i = 0 to 7 do
+    let a = x i and b = x (8 + i) in
+    let half = Bdd.xor m a b in
+    sums := Bdd.xor m half !carry :: !sums;
+    carry := Bdd.or_ m (Bdd.and_ m a b) (Bdd.and_ m !carry half)
+  done;
+  let sums = List.rev !sums in
+  let s7 = List.nth sums 7 in
+  let mux = Bdd.ite m (x 16) s7 (Bdd.not_ m !carry) in
+  let derived =
+    [
+      mux;
+      Bdd.restrict m mux 3 true;
+      Bdd.restrict m s7 11 false;
+      Bdd.swap_vars m s7 0 15;
+      Bdd.negate_var m !carry 4;
+      Bdd.exists m [ 2; 9 ] s7;
+      Bdd.compose m s7 5 (Bdd.and_ m (x 17) (x 18));
+      Bdd.nand m (List.nth sums 5) (List.nth sums 6);
+    ]
+  in
+  let roots = (!carry :: sums) @ derived in
+  (List.map Bdd.id roots, dag_signature roots, Bdd.node_count m)
+
+let table_tests =
+  [
+    Alcotest.test_case "growth hook fires once per 1024 new nodes" `Quick
+      (fun () ->
+        let m = Bdd.manager () in
+        let calls = ref [] in
+        Bdd.set_growth_hook m
+          (Some (fun n -> calls := (n, Bdd.node_count m) :: !calls));
+        let st = Random.State.make [| 11 |] in
+        for _ = 1 to 4 do
+          ignore (Bv.to_bdd m (random_bv st 13))
+        done;
+        let total = Bdd.node_count m in
+        check_bool "several polls" true (total >= 3 * 1024);
+        Alcotest.(check (list int))
+          "polled at every 1024th node"
+          (List.init (total / 1024) (fun i -> (i + 1) * 1024))
+          (List.rev_map fst !calls);
+        check_bool "argument is node_count" true
+          (List.for_all (fun (n, count) -> n = count) !calls));
+    Alcotest.test_case "a raising hook leaves the manager usable" `Quick
+      (fun () ->
+        let n = 14 in
+        let m = Bdd.manager () in
+        let st = Random.State.make [| 5 |] in
+        let a = random_bv st n and b = random_bv st n in
+        let f = Bv.to_bdd m a and g = Bv.to_bdd m b in
+        Bdd.set_growth_hook m (Some (fun _ -> raise Exit));
+        check_bool "and_ aborted" true
+          (match Bdd.and_ m f g with _ -> false | exception Exit -> true);
+        Bdd.set_growth_hook m None;
+        let h = Bdd.and_ m f g in
+        check_bool "and after abort" true (Bv.equal (Bv.and_ a b) (Bv.of_bdd n h));
+        check_bool "xor after abort" true
+          (Bv.equal (Bv.xor a b) (Bv.of_bdd n (Bdd.xor m f g)));
+        check_int "commuted and shares the node" (Bdd.id h)
+          (Bdd.id (Bdd.and_ m g f));
+        check_int "rebuilt from the truth table shares the node" (Bdd.id h)
+          (Bdd.id (Bv.to_bdd m (Bv.and_ a b)));
+        check_int "de Morgan shares the node" (Bdd.id h)
+          (Bdd.id (Bdd.nor m (Bdd.not_ m f) (Bdd.not_ m g))));
+    Alcotest.test_case "node ids of a fixed sequence" `Quick (fun () ->
+        (* The values the kernel has always produced: a table change that
+           renumbers nodes moves every score-cache key and network. *)
+        let ids, signature, count = pinned_sequence () in
+        Alcotest.(check (list int))
+          "ids"
+          [ 2758; 5; 14; 38; 92; 206; 440; 914; 1868; 3780; 6759; 6752; 6521;
+            5281; 5220; 4618; 4286 ]
+          ids;
+        check_int "DAG signature" 223586871698 signature;
+        check_int "node_count" 6758 count);
+  ]
+
+(* A fresh manager pushed far past its initial unique-table and
+   computed-table sizes, so entries are evicted and tables regrow while
+   results are checked. *)
+let eviction_prop =
+  prop "operations agree with oracle past the initial tables" ~count:3
+    QCheck2.Gen.int (fun seed ->
+      let n = 14 in
+      let st = Random.State.make [| seed |] in
+      let m = Bdd.manager () in
+      let bvs = Array.init 5 (fun _ -> random_bv st n) in
+      let fs = Array.map (Bv.to_bdd m) bvs in
+      let results = ref [] in
+      let record bv f = results := (bv, f) :: !results in
+      Array.iteri
+        (fun i a ->
+          let f = fs.(i) in
+          record (Bv.not_ a) (Bdd.not_ m f);
+          record (Bv.cofactor a i true) (Bdd.restrict m f i true);
+          record (Bv.cofactor a (i + 5) false) (Bdd.restrict m f (i + 5) false);
+          Array.iteri
+            (fun j b ->
+              let k = (i + j) mod 5 in
+              let g = fs.(j) and c = bvs.(k) and h = fs.(k) in
+              record (Bv.and_ a b) (Bdd.and_ m f g);
+              record (Bv.or_ a b) (Bdd.or_ m f g);
+              record (Bv.xor a b) (Bdd.xor m f g);
+              record
+                (Bv.or_ (Bv.and_ a b) (Bv.and_ (Bv.not_ a) c))
+                (Bdd.ite m f g h))
+            bvs)
+        bvs;
+      let results = List.rev !results in
+      Bdd.node_count m > 20_000
+      && List.for_all (fun (bv, f) -> Bv.equal bv (Bv.of_bdd n f)) results
+      (* Canonicity after evictions: recomputing every result, and
+         rebuilding it from its truth table, lands on the same node. *)
+      && List.for_all (fun (bv, f) -> Bdd.equal f (Bv.to_bdd m bv)) results
+      && Array.for_all
+           (fun f ->
+             Array.for_all
+               (fun g ->
+                 Bdd.equal (Bdd.and_ m f g)
+                   (Bdd.nor m (Bdd.not_ m f) (Bdd.not_ m g)))
+               fs)
+           fs)
+
 let suite =
-  basic_tests
-  @ List.map (fun p -> QCheck_alcotest.to_alcotest ~long:false p) oracle_props
+  basic_tests @ table_tests
+  @ List.map
+      (fun p -> QCheck_alcotest.to_alcotest ~long:false p)
+      (oracle_props @ [ eviction_prop ])
