@@ -3,8 +3,8 @@
    functional support, pointwise observability) and a deterministic
    bit-parallel simulation that witnesses reachable codes.  Everything
    here must be sound-but-incomplete: a fact may be missing, never
-   wrong, so the exact engines can trust it blindly and [--no-dataflow]
-   changes cost, not findings. *)
+   wrong, so the exact engines can trust it blindly and turning the
+   screening off changes cost, not findings. *)
 
 type direction = Forward | Backward
 
@@ -352,6 +352,7 @@ let obs_domain : (module DOMAIN with type fact = string list) =
    splitmix-style hash of (round, input index): no global state, no
    [Random], bit-for-bit reproducible across runs and platforms. *)
 let lanes = 62
+let all_lanes = (1 lsl lanes) - 1
 
 let noise round idx =
   let open Int64 in
@@ -363,6 +364,33 @@ let noise round idx =
   let z = mul (logxor z (shift_right_logical z 30)) 0x94D049BB133111EBL in
   let z = logxor z (shift_right_logical z 27) in
   to_int z land Stdlib.max_int
+
+(* Both walks below split the lanes [mask] by fanins [j ..], fanin [j]
+   giving bit [j] of the code: depth first over the table's rows,
+   pruning every subtree no lane reaches, so a round visits at most
+   [lanes] rows per level whatever the arity. *)
+let rec split_codes words slots k j code mask f =
+  if mask <> 0 then
+    if j = k then f code mask
+    else begin
+      let w = words.(slots.(j)) in
+      split_codes words slots k (j + 1) code (mask land lnot w) f;
+      split_codes words slots k (j + 1) (code lor (1 lsl j)) (mask land w) f
+    end
+
+let iter_codes words slots f =
+  split_codes words slots (Array.length slots) 0 0 all_lanes f
+
+let rec eval_rows tt words slots k j code mask =
+  if mask = 0 then 0
+  else if j = k then if Bv.get tt code then mask else 0
+  else
+    let w = words.(slots.(j)) in
+    eval_rows tt words slots k (j + 1) code (mask land lnot w)
+    lor eval_rows tt words slots k (j + 1) (code lor (1 lsl j)) (mask land w)
+
+let eval_lut tt words slots =
+  eval_rows tt words slots (Array.length slots) 0 0 all_lanes
 
 (* Tracking reachable-code witnesses is only worth it where the SAT
    window could run at all; wider tables get no mask. *)
@@ -411,10 +439,18 @@ let analyze ?(sim_rounds = 4) ?input_env net =
       | `Input _ | `Const _ -> ())
     e.e_order;
   let words = Array.make n 0 in
+  let fanin_ids =
+    Array.map
+      (fun s ->
+        match Network.view net s with
+        | `Lut (fanins, _) -> Array.map Network.signal_id fanins
+        | `Input _ | `Const _ -> [||])
+      e.e_order
+  in
   let pinned = match input_env with Some f -> f | None -> fun _ -> None in
   for round = 0 to sim_rounds - 1 do
-    Array.iter
-      (fun s ->
+    Array.iteri
+      (fun i s ->
         let id = Network.signal_id s in
         (match Network.view net s with
         | `Const b -> words.(id) <- (if b then -1 else 0)
@@ -424,23 +460,15 @@ let analyze ?(sim_rounds = 4) ?input_env net =
               | Some true -> -1
               | Some false -> 0
               | None -> noise round (input_index e nm))
-        | `Lut (fanins, tt) ->
-            let k = Array.length fanins in
-            let fw = Array.map (fun f -> words.(Network.signal_id f)) fanins in
-            let out = ref 0 in
+        | `Lut (_, tt) ->
             let mask = codes.(id) in
-            for lane = 0 to lanes - 1 do
-              let code = ref 0 in
-              for j = 0 to k - 1 do
-                if (fw.(j) lsr lane) land 1 = 1 then code := !code lor (1 lsl j)
-              done;
-              if Bytes.length mask > 0 then Bytes.set mask !code '\001';
-              if Bv.get tt !code then out := !out lor (1 lsl lane)
-            done;
-            words.(id) <- !out);
-        let w = words.(id) land max_int in
+            if Bytes.length mask > 0 then
+              iter_codes words fanin_ids.(i) (fun code _ ->
+                  Bytes.set mask code '\001');
+            words.(id) <- eval_lut tt words fanin_ids.(i));
+        let w = words.(id) land all_lanes in
         if w <> 0 then seen1.(id) <- true;
-        if w <> max_int then seen0.(id) <- true)
+        if w <> all_lanes then seen0.(id) <- true)
       e.e_order
   done;
   (* fold the domain results into one record per LUT node *)

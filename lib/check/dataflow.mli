@@ -31,7 +31,8 @@
 
     Every fact is {e sound} (never wrong, possibly missing): the
     screening tier is a pure observer, and disabling it
-    ([--no-dataflow]) must not change any finding.
+    ([Semantics.analyze_report ~dataflow:false]) must not change any
+    finding.
 
     Precondition as for {!Careflow.analyze}: structurally sound
     networks only. *)
@@ -119,6 +120,30 @@ module Ternary : sig
       is constant across the care cubes); the default pins nothing. *)
 end
 
+(** {1 Bit-parallel simulation}
+
+    The word-level primitives behind {!analyze}'s witness simulation,
+    shared with the simulation pre-pass of {!Complete_dc}.  A word
+    holds one bit per lane; lane [i] is bit [i], and only the low 62
+    bits are read, so a lane mask is a positive int. *)
+
+val all_lanes : int
+(** The mask of all 62 lanes. *)
+
+val noise : int -> int -> int
+(** [noise round idx]: the lanes of a free variable in a round, a fixed
+    splitmix-style hash of [(round, idx)] — no global state, the same
+    bits on every run and platform. *)
+
+val eval_lut : Bv.t -> int array -> int array -> int
+(** [eval_lut tt words slots]: the output word of the table [tt] whose
+    fanin [j] reads [words.(slots.(j))], on every lane. *)
+
+val iter_codes : int array -> int array -> (int -> int -> unit) -> unit
+(** [iter_codes words slots f] calls [f code mask] once for every fanin
+    code some lane takes (fanin [j] giving bit [j] of the code), with
+    the non-empty mask of the lanes taking it. *)
+
 (** {1 The bundled analysis for the screening tier} *)
 
 type node_facts = {
@@ -148,9 +173,10 @@ type t
 val analyze :
   ?sim_rounds:int -> ?input_env:(string -> bool option) -> Network.t -> t
 (** Run the three domains plus [sim_rounds] (default 4) rounds of
-    64-wide deterministic random simulation (a fixed xorshift seed, so
-    two runs over the same network agree bit for bit).  [input_env]
-    feeds the ternary domain and pins simulated inputs. *)
+    62-lane deterministic simulation (primary input [i] draws
+    [noise round i], so two runs over the same network agree bit for
+    bit).  [input_env] feeds the ternary domain and pins simulated
+    inputs. *)
 
 val facts : t -> node_facts list
 (** Per reachable LUT node, topological order. *)

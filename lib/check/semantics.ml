@@ -349,13 +349,6 @@ type coverage = {
 
 type report = { findings : Diagnostic.t list; coverage : coverage }
 
-(* Can the windowed SAT engine be skipped for this node without losing
-   a finding?  Only when the cheap facts prove the window would report
-   nothing: every fanin code was witnessed reachable (so window
-   reachability, which over-approximates, is total — no SEM001, and
-   the table takes both values on reachable rows — no SEM003) and the
-   node pointwise drives some output (the flip crosses every root cut,
-   so the windowed care set is non-empty — no SEM002). *)
 (* An exactly-known observability set: a node that pointwise drives an
    output whose care set is the whole care space has observable =
    care_any, so the exact engine may skip the ODC computation without
@@ -379,6 +372,13 @@ let full_observable_hint ?care_of_output m net df =
             | None -> false)
           nf.Dataflow.nf_obs_outputs
 
+(* Can the windowed SAT engine be skipped for this node without losing
+   a finding?  Only when the cheap facts prove the window would report
+   nothing: every fanin code was witnessed reachable (so window
+   reachability, which over-approximates, is total — no SEM001, and
+   the table takes both values on reachable rows — no SEM003) and the
+   node pointwise drives some output (the flip crosses every root cut,
+   so the windowed care set is non-empty — no SEM002). *)
 let window_screenable net df s =
   match (Dataflow.fact_of df s, Network.view net s) with
   | Some nf, `Lut (fanins, tt) ->
@@ -502,8 +502,8 @@ let analyze_report ?care_of_output ?check ?(tfi_depth = 4) ?(tfo_depth = 4)
               else
                 match
                   Complete_dc.analyze_node ~tfi_depth ~tfo_depth
-                    ~max_conflicts:sat_max_conflicts ~check:sat_check
-                    ~counters ctx s
+                    ~max_conflicts:sat_max_conflicts ~simulate:dataflow
+                    ~check:sat_check ~counters ctx s
                 with
                 | Some r -> results := r :: !results
                 | None -> incr too_wide);

@@ -226,7 +226,7 @@ let analyze_network ?care_of_output ?(dataflow = true) ~analysis_nodes
                | _ -> (
                    match
                      Complete_dc.analyze_node ~max_conflicts:2000
-                       ~check:sat_check ~counters ctx s
+                       ~simulate:dataflow ~check:sat_check ~counters ctx s
                    with
                    | Some r -> (
                        match facts_of_window net r with

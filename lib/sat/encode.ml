@@ -4,14 +4,16 @@ let lut cnf ~out ~fanins tt =
     invalid_arg "Encode.lut: truth-table arity does not match fanin count";
   (* One clause per fanin code [c]: if the fanins spell [c], the output
      must take [tt(c)].  Written as a disjunction, each fanin literal
-     takes the polarity *opposite* to its bit in [c]. *)
+     takes the polarity *opposite* to its bit in [c].  Literal order:
+     fanin [k-1] down to fanin [0], then the output. *)
+  let buf = Array.make (k + 1) 0 in
   for c = 0 to (1 lsl k) - 1 do
-    let clause = ref [ Cnf.lit_of_bool out (Bv.get tt c) ] in
     for j = 0 to k - 1 do
       let bit = (c lsr j) land 1 = 1 in
-      clause := Cnf.lit_of_bool fanins.(j) (not bit) :: !clause
+      buf.(k - 1 - j) <- Cnf.lit_of_bool fanins.(j) (not bit)
     done;
-    Cnf.add_clause cnf !clause
+    buf.(k) <- Cnf.lit_of_bool out (Bv.get tt c);
+    Cnf.add_lits cnf buf (k + 1)
   done
 
 let constant cnf v b = Cnf.add_clause cnf [ Cnf.lit_of_bool v b ]

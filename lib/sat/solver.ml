@@ -51,6 +51,7 @@ type t = {
   mutable trail_lim_size : int;  (* = current decision level *)
   mutable qhead : int;
   seen : bool array;  (* scratch of [analyze] *)
+  mutable scratch : int array;  (* scratch of [add_slice] *)
   mutable var_inc : float;
   mutable ok : bool;  (* false once the clause set is root-contradictory *)
   model : bool array;
@@ -302,32 +303,69 @@ let attach_learnt t c =
 
 (* ---- clause addition (initial import and incremental) ---- *)
 
-let add_clause_internal t lits =
+(* Sort [a.(0 .. n - 1)] ascending in place: insertion sort for the
+   short clauses the encoders produce, the library sort past that. *)
+let sort_prefix a n =
+  if n <= 16 then
+    for i = 1 to n - 1 do
+      let x = a.(i) in
+      let j = ref (i - 1) in
+      while !j >= 0 && a.(!j) > x do
+        a.(!j + 1) <- a.(!j);
+        decr j
+      done;
+      a.(!j + 1) <- x
+    done
+  else begin
+    let s = Array.sub a 0 n in
+    Array.sort Int.compare s;
+    Array.blit s 0 a 0 n
+  end
+
+(* Add the clause [lits.(off .. off + len - 1)] — the one routine behind
+   both the initial import and {!add_clause}.  It normalizes at the
+   root: literals sorted ascending with duplicates merged, the clause
+   dropped when tautologous or root-satisfied, root-false literals
+   removed.  Only a stored clause of two or more literals allocates. *)
+let add_slice t lits off len =
   if t.ok then begin
     cancel_until t 0;
-    (* normalize at the root: drop duplicates and root-false literals,
-       drop the clause when tautologous or root-satisfied *)
-    let sorted = List.sort_uniq compare lits in
-    let tauto =
-      let rec go = function
-        | a :: (b :: _ as rest) -> a lxor 1 = b || go rest
-        | _ -> false
-      in
-      go sorted
-    in
-    if not (tauto || List.exists (fun l -> lval t l = 1) sorted) then begin
-      match List.filter (fun l -> lval t l <> 0) sorted with
-      | [] -> t.ok <- false
-      | [ l ] ->
-          unchecked_enqueue t l None;
+    if Array.length t.scratch < len then
+      t.scratch <- Array.make (max len (2 * Array.length t.scratch)) 0;
+    let a = t.scratch in
+    Array.blit lits off a 0 len;
+    sort_prefix a len;
+    (* merge duplicates; sorted, a tautology shows as [2v], [2v+1] *)
+    let n = ref 0 and tauto = ref false in
+    for i = 0 to len - 1 do
+      let l = a.(i) in
+      if !n = 0 || a.(!n - 1) <> l then begin
+        if !n > 0 && a.(!n - 1) lxor 1 = l then tauto := true;
+        a.(!n) <- l;
+        incr n
+      end
+    done;
+    (* keep the literals not false at the root; one true one drops all *)
+    let m = ref 0 and sat = ref false in
+    for i = 0 to !n - 1 do
+      let l = a.(i) in
+      match lval t l with
+      | 1 -> sat := true
+      | 0 -> ()
+      | _ ->
+          a.(!m) <- l;
+          incr m
+    done;
+    if not (!tauto || !sat) then
+      match !m with
+      | 0 -> t.ok <- false
+      | 1 ->
+          unchecked_enqueue t a.(0) None;
           if propagate t <> None then t.ok <- false
-      | l0 :: l1 :: _ as c ->
-          let c = Array.of_list c in
-          ignore l0;
-          ignore l1;
+      | m ->
+          let c = Array.sub a 0 m in
           Vec.push t.watches.(c.(0)) c;
           Vec.push t.watches.(c.(1)) c
-    end
   end
 
 let add_clause t lits =
@@ -337,7 +375,8 @@ let add_clause t lits =
         invalid_arg "Solver.add_clause: literal out of range")
     lits;
   t.has_model <- false;
-  add_clause_internal t lits
+  let a = Array.of_list lits in
+  add_slice t a 0 (Array.length a)
 
 let create cnf =
   let n = Cnf.nvars cnf in
@@ -359,6 +398,7 @@ let create cnf =
       trail_lim_size = 0;
       qhead = 0;
       seen = Array.make (max n 1) false;
+      scratch = Array.make 16 0;
       var_inc = 1.0;
       ok = true;
       model = Array.make (max n 1) false;
@@ -374,7 +414,7 @@ let create cnf =
   for v = 0 to n - 1 do
     heap_insert t v
   done;
-  Cnf.iter_clauses cnf (fun c -> add_clause_internal t (Array.to_list c));
+  Cnf.iter_clauses cnf (add_slice t);
   t
 
 (* ---- search ---- *)

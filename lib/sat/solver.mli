@@ -1,18 +1,24 @@
 (** A small CDCL SAT solver.
 
     The classic architecture in ~500 lines: two-literal watching for
-    unit propagation, first-UIP conflict analysis with clause learning,
-    VSIDS-style variable activities with phase saving, Luby restarts,
-    and solving under assumptions.  Learned clauses are kept for the
-    solver's lifetime (no clause-database reduction) — adequate for the
-    window-sized problems of the complete don't-care analysis, where a
-    solver lives for one window and a few dozen enumeration calls.
+    unit propagation, first-UIP conflict analysis with clause learning
+    (no clause minimization), VSIDS-style variable activities with
+    phase saving, Luby restarts, and solving under assumptions.
+    Learned clauses are kept for the solver's lifetime (no
+    clause-database reduction) — adequate for the window-sized problems
+    of the complete don't-care analysis, where a solver lives for one
+    window and at most two queries per fanin code.
 
-    Solvers are incremental: {!add_clause} between {!solve} calls is how
-    the don't-care enumeration blocks already-found care minterms, and
-    [assumptions] is how one formula serves several queries (the miter
-    selector of {!Complete_dc}, the per-output queries of the SAT
-    equivalence audit).
+    {!create} imports a {!Cnf.t} clause by clause, reading each clause
+    as a slice of the formula's literal store; {!add_clause} goes
+    through the same routine.  Both normalize at the root: literals
+    sorted ascending with duplicates merged, tautologies and
+    root-satisfied clauses dropped, root-false literals removed.
+
+    Solvers are incremental: clauses may be added between {!solve}
+    calls, and [assumptions] is how one formula serves several queries
+    (the miter selector of {!Complete_dc}, the per-output queries of
+    the SAT equivalence audit).
 
     Every call can be budgeted (conflict and decision caps, plus an
     arbitrary [check] callback polled during search); an exhausted
@@ -33,10 +39,10 @@ val create : Cnf.t -> t
     further clauses with {!add_clause}. *)
 
 val add_clause : t -> Cnf.lit list -> unit
-(** Add one clause (e.g. a blocking clause between enumeration calls).
-    Duplicate literals are merged, tautologies dropped.  Adding an
-    empty (or root-falsified) clause makes every later {!solve} return
-    {!Unsat} immediately. *)
+(** Add one clause (e.g. a blocking clause between enumeration calls),
+    normalized like the imported ones.  Adding an empty (or
+    root-falsified) clause makes every later {!solve} return {!Unsat}
+    immediately. *)
 
 val solve :
   ?assumptions:Cnf.lit list ->

@@ -73,7 +73,21 @@ let cnf_tests =
         let prefix = "p cnf 2 1" in
         check_bool "header" true
           (String.length s >= String.length prefix
-          && String.sub s 0 (String.length prefix) = prefix));
+          && String.sub s 0 (String.length prefix) = prefix);
+        (* The whole text of a formula with an AND-LUT block, a duplicate
+           literal and a tautology: clauses are stored as given, in
+           insertion order — a LUT row lists its fanins from the last
+           down, then the output. *)
+        let cnf = Cnf.create () in
+        let a = Cnf.fresh cnf and b = Cnf.fresh cnf and c = Cnf.fresh cnf in
+        Encode.lut cnf ~out:c ~fanins:[| a; b |] (Bv.of_fun 2 (fun i -> i = 3));
+        Cnf.add_clause cnf [ Cnf.pos a; Cnf.pos a; Cnf.neg b ];
+        Cnf.add_clause cnf [ Cnf.pos a; Cnf.neg c; Cnf.neg a ];
+        Alcotest.(check string)
+          "full text"
+          "p cnf 3 6\n2 1 -3 0\n2 -1 -3 0\n-2 1 -3 0\n-2 -1 3 0\n1 1 -2 0\n\
+           1 -3 -1 0\n"
+          (Format.asprintf "%a" Cnf.pp cnf));
   ]
 
 let solver_unit_tests =

@@ -363,6 +363,32 @@ let windowed_tests =
         in
         check_bool "sem003 via window" true
           (has ~loc:"z" "SEM003" check3.Semantics.findings));
+    Alcotest.test_case "the simulation pre-pass replaces the SAT queries"
+      `Quick (fun () ->
+        (* n = and(x, y) feeds the output xor(n, z): every code of n is
+           reachable, and flipping n always flips the output, so random
+           lanes witness every code as care and no query is left. *)
+        let net = Network.create () in
+        let x = Network.add_input net "x" and y = Network.add_input net "y" in
+        let z = Network.add_input net "z" in
+        let n = Network.add_lut net ~fanins:[ x; y ] ~tt:(tt "0001") in
+        let o = Network.add_lut net ~fanins:[ n; z ] ~tt:(tt "0110") in
+        Network.set_output net "o" o;
+        let ctx = Window.context net in
+        let run simulate =
+          let counters = Complete_dc.counters () in
+          match Complete_dc.analyze_node ~simulate ~counters ctx n with
+          | None -> Alcotest.fail "a 2-input node is analyzed"
+          | Some r ->
+              check_bool "decided" true r.Complete_dc.decided;
+              check_int "all codes care" 4 (Bv.count_ones r.Complete_dc.care);
+              check_int "all codes reachable" 4
+                (Bv.count_ones r.Complete_dc.reachable);
+              check_int "one window" 1 counters.Complete_dc.windows_built;
+              counters.Complete_dc.sat_calls
+        in
+        check_int "no query with the pre-pass" 0 (run true);
+        check_int "one query per code without it" 4 (run false));
     Alcotest.test_case "clean exact run reports exact coverage" `Quick
       (fun () ->
         let net = sem001_net () in
@@ -487,7 +513,101 @@ let props =
              flow.Careflow.nodes);
   ]
 
+(* The window's complete don't cares by enumerating every assignment
+   of its leaves: copy A evaluates the window, copy B its center's
+   transitive fanout with the center complemented, and a code is care
+   when some assignment reaching it makes a root differ.  Plain
+   table lookups, independent of the simulator and the solver. *)
+let brute_force_window net w =
+  let center = Window.center w in
+  let fanins = Array.of_list (Network.fanins net center) in
+  let leaves = Window.leaves w in
+  let n = Network.node_count net in
+  let care = Array.make (1 lsl Array.length fanins) false in
+  let reach = Array.make (1 lsl Array.length fanins) false in
+  for a = 0 to (1 lsl Array.length leaves) - 1 do
+    let va = Array.make n false and vb = Array.make n false in
+    let has_b = Array.make n false in
+    Array.iteri
+      (fun i l -> va.(Network.signal_id l) <- (a lsr i) land 1 = 1)
+      leaves;
+    let value_a f =
+      match Network.view net f with
+      | `Const b -> b
+      | `Input _ | `Lut _ -> va.(Network.signal_id f)
+    in
+    let value_b f =
+      let id = Network.signal_id f in
+      if has_b.(id) then vb.(id) else value_a f
+    in
+    let code value fs =
+      let c = ref 0 in
+      Array.iteri (fun j f -> if value f then c := !c lor (1 lsl j)) fs;
+      !c
+    in
+    Array.iter
+      (fun s ->
+        match Network.view net s with
+        | `Lut (fs, table) ->
+            let id = Network.signal_id s in
+            va.(id) <- Bv.get table (code value_a fs);
+            if Window.in_tfo w s then begin
+              vb.(id) <-
+                (if Network.signal_equal s center then not va.(id)
+                 else Bv.get table (code value_b fs));
+              has_b.(id) <- true
+            end
+        | `Input _ | `Const _ -> Alcotest.fail "window internals are LUTs")
+      (Window.internals w);
+    let c = code value_a fanins in
+    reach.(c) <- true;
+    if
+      Array.exists
+        (fun r -> va.(Network.signal_id r) <> vb.(Network.signal_id r))
+        (Window.roots w)
+    then care.(c) <- true
+  done;
+  (care, reach)
+
+let brute_force_prop =
+  QCheck2.Test.make
+    ~name:"windowed don't cares equal brute force, with and without the \
+           pre-pass"
+    ~count:30
+    QCheck2.Gen.(int_range 0 100_000)
+    (fun seed ->
+      let net =
+        Randnet.cones ~ninputs:6 ~noutputs:4 ~window:4 ~gates_per_output:16
+          ~seed ()
+      in
+      let ctx = Window.context net in
+      List.for_all
+        (fun s ->
+          let w = Window.build ctx ~center:s ~tfi_depth:4 ~tfo_depth:4 in
+          Array.length (Window.leaves w) > 12
+          ||
+          let care, reach = brute_force_window net w in
+          let agrees simulate =
+            match
+              Complete_dc.analyze_node ~simulate
+                ~counters:(Complete_dc.counters ()) ctx s
+            with
+            | None -> true
+            | Some r ->
+                r.Complete_dc.decided
+                && Array.for_all Fun.id
+                     (Array.mapi
+                        (fun c b ->
+                          Bv.get r.Complete_dc.care c = b
+                          && Bv.get r.Complete_dc.reachable c = reach.(c))
+                        care)
+          in
+          agrees true && agrees false)
+        (Network.lut_signals net))
+
 let suite =
   sem_tests @ audit_tests @ net007_tests @ determinism_tests @ windowed_tests
   @ sat_audit_tests
-  @ List.map (fun p -> QCheck_alcotest.to_alcotest ~long:false p) props
+  @ List.map
+      (fun p -> QCheck_alcotest.to_alcotest ~long:false p)
+      (props @ [ brute_force_prop ])
