@@ -16,8 +16,16 @@ let score ?cache ?stats ?(lut_size = max_int) ?(cost = Cost.area) m isfs bound =
           match bound with
           | [] -> 0
           | _ ->
-              let sup = Isf.support m f in
-              List.length (List.filter (fun v -> List.mem v sup) bound)
+              let off = Bdd.support m (Isf.off m f) in
+              let on = Bdd.support m (Isf.on f) in
+              let rec count acc = function
+                | [] -> acc
+                | v :: rest ->
+                    count
+                      (if List.mem v on || List.mem v off then acc + 1 else acc)
+                      rest
+              in
+              count 0 bound
         in
         if overlap = 0 then None else Some (f, overlap))
       isfs
@@ -51,29 +59,16 @@ let score ?cache ?stats ?(lut_size = max_int) ?(cost = Cost.area) m isfs bound =
         let vecs =
           List.map (fun (f, overlap) -> (vector f, overlap)) relevant
         in
-        let nverts = 1 lsl List.length bound in
-        let distinct_of vec =
-          let tbl = Hashtbl.create 8 in
-          for v = 0 to nverts - 1 do
-            Hashtbl.replace tbl (Bdd.id (Isf.on vec.(v)), Bdd.id (Isf.dc vec.(v))) ()
-          done;
-          Hashtbl.length tbl
-        in
+        (* Per-output class counts and the joint count from one
+           numbering, refined output by output. *)
+        let classes = Classes.numbering (1 lsl List.length bound) in
         let reduction =
           List.fold_left
             (fun acc (vec, overlap) ->
-              acc + max 0 (overlap - Bits.ceil_log2 (distinct_of vec)))
+              acc + max 0 (overlap - Bits.ceil_log2 (Classes.refine classes vec)))
             0 vecs
         in
-        let joint =
-          let tbl = Hashtbl.create 8 in
-          for v = 0 to nverts - 1 do
-            Hashtbl.replace tbl
-              (List.map (fun (vec, _) -> (Bdd.id (Isf.on vec.(v)), Bdd.id (Isf.dc vec.(v)))) vecs)
-              ()
-          done;
-          Hashtbl.length tbl
-        in
+        let joint = Classes.count classes in
         (* Net benefit: support reduction minus the realization cost of the
            decomposition functions.  ceil(log2 joint) is the paper's lower
            bound on how many distinct functions the step needs; each costs

@@ -8,6 +8,103 @@ type t = {
 let nnodes t = Array.length t.node_cof
 let nvertices t = Array.length t.node_of_vertex
 
+(* Class numbering over one open-addressed table of int pairs.  The
+   arrays are per-domain scratch, grown on demand and reused by the
+   next [numbering] on the same domain:
+   - [ka], [kb]: the key pair of every vertex;
+   - [own]: a vertex's class within the current vector;
+   - [ids]: its class within all vectors refined so far;
+   - [slot]: the table, class id + 1 per slot (0 = empty);
+   - [rep]: the first vertex of every class. *)
+type numbering = {
+  mutable n : int;
+  mutable count : int;
+  mutable ka : int array;
+  mutable kb : int array;
+  mutable own : int array;
+  mutable ids : int array;
+  mutable rep : int array;
+  mutable slot : int array;
+}
+
+let scratch =
+  Domain.DLS.new_key (fun () ->
+      {
+        n = 0;
+        count = 0;
+        ka = [||];
+        kb = [||];
+        own = [||];
+        ids = [||];
+        rep = [||];
+        slot = [||];
+      })
+
+let numbering n =
+  let s = Domain.DLS.get scratch in
+  if Array.length s.ids < n then begin
+    s.ka <- Array.make n 0;
+    s.kb <- Array.make n 0;
+    s.own <- Array.make n 0;
+    s.ids <- Array.make n 0;
+    s.rep <- Array.make n 0;
+    s.slot <- Array.make (4 * n) 0
+  end;
+  s.n <- n;
+  s.count <- min n 1;
+  Array.fill s.ids 0 n 0;
+  s
+
+(* Dense ids, in first-occurrence order, of the pairs [(ka.(v), kb.(v))]
+   for [v = 0 .. n-1], written to [into]; returns how many there are. *)
+let number s into =
+  let n = s.n in
+  let cap = ref 1 in
+  while !cap < 2 * n do
+    cap := 2 * !cap
+  done;
+  let mask = !cap - 1 in
+  Array.fill s.slot 0 !cap 0;
+  let count = ref 0 in
+  for v = 0 to n - 1 do
+    let a = s.ka.(v) and b = s.kb.(v) in
+    let h = ref (((((a * 0x2545F491) + b) * 0x9E3779B1) lsr 16) land mask) in
+    let id = ref (-1) in
+    while !id < 0 do
+      let e = s.slot.(!h) in
+      if e = 0 then begin
+        id := !count;
+        incr count;
+        s.rep.(!id) <- v;
+        s.slot.(!h) <- !id + 1
+      end
+      else if s.ka.(s.rep.(e - 1)) = a && s.kb.(s.rep.(e - 1)) = b then id := e - 1
+      else h := (!h + 1) land mask
+    done;
+    into.(v) <- !id
+  done;
+  !count
+
+let refine s vec =
+  let n = s.n in
+  for v = 0 to n - 1 do
+    s.ka.(v) <- Bdd.id (Isf.on vec.(v));
+    s.kb.(v) <- Bdd.id (Isf.dc vec.(v))
+  done;
+  let own = number s s.own in
+  if s.count <= 1 then begin
+    Array.blit s.own 0 s.ids 0 n;
+    s.count <- own
+  end
+  else begin
+    Array.blit s.ids 0 s.ka 0 n;
+    Array.blit s.own 0 s.kb 0 n;
+    s.count <- number s s.ids
+  end;
+  own
+
+let count s = s.count
+
 let cofactor_matrix m isfs bound =
   let rec ascending = function
     | [] | [ _ ] -> true
@@ -19,25 +116,15 @@ let cofactor_matrix m isfs bound =
   let nitems = Array.length isfs in
   let vecs = Array.map (fun f -> Isf.cofactor_vector m f bound) isfs in
   let nverts = 1 lsl List.length bound in
-  let node_of_vertex = Array.make nverts (-1) in
-  let table = Hashtbl.create 64 in
-  let nodes = ref [] in
-  let nnodes = ref 0 in
-  for v = 0 to nverts - 1 do
-    let key =
-      Array.init nitems (fun i ->
-          (Bdd.id (Isf.on vecs.(i).(v)), Bdd.id (Isf.dc vecs.(i).(v))))
-    in
-    match Hashtbl.find_opt table key with
-    | Some node -> node_of_vertex.(v) <- node
-    | None ->
-        let node = !nnodes in
-        incr nnodes;
-        Hashtbl.add table key node;
-        node_of_vertex.(v) <- node;
-        nodes := Array.init nitems (fun i -> vecs.(i).(v)) :: !nodes
-  done;
-  { bound; nitems; node_of_vertex; node_cof = Array.of_list (List.rev !nodes) }
+  let s = numbering nverts in
+  Array.iter (fun vec -> ignore (refine s vec)) vecs;
+  let node_of_vertex = Array.sub s.ids 0 nverts in
+  let node_cof =
+    Array.init s.count (fun node ->
+        let v = s.rep.(node) in
+        Array.init nitems (fun i -> vecs.(i).(v)))
+  in
+  { bound; nitems; node_of_vertex; node_cof }
 
 let joint_incompat m t =
   let count = nnodes t in
@@ -68,16 +155,12 @@ let join_isfs m = function
       in
       Isf.of_on_off m ~on ~off
 
-let item_incompat_of_groups m t item class_of_node nclasses =
-  let members = Array.make nclasses [] in
-  Array.iteri
-    (fun node c -> members.(c) <- t.node_cof.(node).(item) :: members.(c))
-    class_of_node;
-  let joined = Array.map (join_isfs m) members in
-  let g = Ugraph.create nclasses in
-  for a = 0 to nclasses - 1 do
-    for b = a + 1 to nclasses - 1 do
-      if not (Isf.compatible m joined.(a) joined.(b)) then Ugraph.add_edge g a b
+let incompat m isfs =
+  let count = Array.length isfs in
+  let g = Ugraph.create count in
+  for a = 0 to count - 1 do
+    for b = a + 1 to count - 1 do
+      if not (Isf.compatible m isfs.(a) isfs.(b)) then Ugraph.add_edge g a b
     done
   done;
   g
@@ -91,7 +174,3 @@ let ncc_csf m fs bound =
     Hashtbl.replace table key ()
   done;
   Hashtbl.length table
-
-let ncc_estimate m isfs bound =
-  let t = cofactor_matrix m isfs bound in
-  nnodes t

@@ -15,13 +15,39 @@ type t = {
   nitems : int;
   node_of_vertex : int array;
       (** vertex (index into the cofactor vector, first bound variable =
-          most significant bit) to deduplicated node *)
+          most significant bit) to deduplicated node, numbered densely
+          in first-occurrence order *)
   node_cof : Isf.t array array;
       (** [node_cof.(node).(item)] — per-item cofactor of the node *)
 }
 
 val nnodes : t -> int
 val nvertices : t -> int
+
+(** {1 Class numbering}
+
+    Vertices are grouped by identical cofactors, an ISF being identified
+    by its node-id pair [(Bdd.id on, Bdd.id dc)].  One vector at a time
+    refines the grouping, so after the vectors of [f_1 .. f_m] two
+    vertices share a class exactly when their cofactor tuples are equal.
+    Class ids are dense and in first-occurrence order, hence a function
+    of the grouping alone.  The work happens in per-domain scratch
+    arrays: counting allocates nothing. *)
+
+type numbering
+
+val numbering : int -> numbering
+(** [numbering n]: all of the vertices [0 .. n-1] in one class.  The
+    scratch belongs to the calling domain and is reset by its next
+    [numbering]: finish with one before starting another. *)
+
+val refine : numbering -> Isf.t array -> int
+(** [refine s vec] splits the classes of [s] by the cofactors [vec]
+    (length [n]) and returns the number of distinct cofactors in [vec]
+    alone — that output's class count. *)
+
+val count : numbering -> int
+(** The joint class count over every vector refined so far. *)
 
 val cofactor_matrix : Bdd.manager -> Isf.t list -> int list -> t
 (** Cofactor every function w.r.t. the (ascending) bound set and
@@ -30,10 +56,10 @@ val cofactor_matrix : Bdd.manager -> Isf.t list -> int list -> t
 val joint_incompat : Bdd.manager -> t -> Ugraph.t
 (** Graph on nodes; edge = some output's cofactors are incompatible. *)
 
-val item_incompat_of_groups : Bdd.manager -> t -> int -> int array -> int -> Ugraph.t
-(** [item_incompat_of_groups m t item class_of_node nclasses]: graph on
-    the step-2 classes, edge = the two classes' joined cofactors of
-    [item] are incompatible. *)
+val incompat : Bdd.manager -> Isf.t array -> Ugraph.t
+(** Graph on the indices of the array; edge = the two ISFs are
+    incompatible.  Step 3 builds it on one output's joined cofactors of
+    the step-2 classes. *)
 
 val join_isfs : Bdd.manager -> Isf.t list -> Isf.t
 (** Join of pairwise-compatible ISFs (conflicts are only ever pairwise,
@@ -43,8 +69,3 @@ val join_isfs : Bdd.manager -> Isf.t list -> Isf.t
 val ncc_csf : Bdd.manager -> Bdd.t list -> int list -> int
 (** Number of jointly distinct cofactor tuples of completely specified
     functions — the exact joint [ncc]. *)
-
-val ncc_estimate : Bdd.manager -> Isf.t list -> int list -> int
-(** Distinct cofactor tuples of possibly incompletely specified
-    functions: an upper bound on the minimum class count, used as the
-    bound-set search score. *)

@@ -17,13 +17,44 @@ let mergeable ?(lut_size = 5) net u v =
   && List.length (Network.fanins net v) <= lut_size - 1
   && distinct_inputs net u v <= lut_size
 
-let merge_graph ?lut_size net =
+(* [mergeable] over every pair, with each LUT's fanins read once: the
+   fanin count, and the fanin ids as a sorted duplicate-free array, so
+   the distinct-input count of a pair is the size of a merge walk. *)
+let merge_graph ?(lut_size = 5) net =
   let luts = Array.of_list (Network.lut_signals net) in
-  let g = Ugraph.create (Array.length luts) in
-  for a = 0 to Array.length luts - 1 do
-    for b = a + 1 to Array.length luts - 1 do
-      if mergeable ?lut_size net luts.(a) luts.(b) then Ugraph.add_edge g a b
-    done
+  let count = Array.length luts in
+  let arity = Array.make count 0 in
+  let ids =
+    Array.mapi
+      (fun a s ->
+        let fanins = Network.fanins net s in
+        arity.(a) <- List.length fanins;
+        Array.of_list (List.sort_uniq compare (List.map Network.signal_id fanins)))
+      luts
+  in
+  (* |x ∪ y| <= lut_size for ascending [x] and [y]; the walk stops once
+     the count passes [lut_size]. *)
+  let union_fits x y =
+    let nx = Array.length x and ny = Array.length y in
+    let i = ref 0 and j = ref 0 and n = ref 0 in
+    while !n <= lut_size && !i < nx && !j < ny do
+      let xi = x.(!i) and yj = y.(!j) in
+      if xi <= yj then incr i;
+      if yj <= xi then incr j;
+      incr n
+    done;
+    !n + (nx - !i) + (ny - !j) <= lut_size
+  in
+  let g = Ugraph.create count in
+  for a = 0 to count - 1 do
+    if arity.(a) <= lut_size - 1 then
+      for b = a + 1 to count - 1 do
+        if
+          arity.(b) <= lut_size - 1
+          && (not (Network.signal_equal luts.(a) luts.(b)))
+          && union_fits ids.(a) ids.(b)
+        then Ugraph.add_edge g a b
+      done
   done;
   (luts, g)
 

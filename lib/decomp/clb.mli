@@ -18,6 +18,13 @@ val mergeable :
   ?lut_size:int -> Network.t -> Network.signal -> Network.signal -> bool
 (** Can the two LUTs share one CLB of the given size? *)
 
+val merge_graph :
+  ?lut_size:int -> Network.t -> Network.signal array * Ugraph.t
+(** The network's LUTs in {!Network.lut_signals} order, and the graph
+    on their indices whose edges are exactly the pairs {!mergeable}
+    accepts.  Each LUT's fanins are read once; a pair's distinct inputs
+    are counted by a merge walk over sorted fanin ids. *)
+
 val pairs :
   ?lut_size:int ->
   policy ->

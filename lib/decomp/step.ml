@@ -23,7 +23,14 @@ let coloring_of cfg g =
    falls back to the latter.  [cof v] lists the cofactors (one per
    output considered) of class [v]; pairwise compatibility — encoded as
    non-adjacency in [g] — implies joint consistency, because on/off
-   conflicts are always between exactly two classes. *)
+   conflicts are always between exactly two classes.
+
+   The minimum coloring can only win with fewer code bits, so when the
+   merge needs b bits the decision search first asks whether
+   2^(b-1) colors suffice.  A proved "no" means every proper coloring —
+   the exact optimum and its DSATUR fallback alike — needs b bits too,
+   so the merge stands without building either; otherwise (yes, or the
+   search gave up) the comparison runs as it always did. *)
 let merge_coloring ?(budget = Budget.unlimited) m cfg g cof =
   let n = Ugraph.n g in
   let order =
@@ -83,13 +90,13 @@ let merge_coloring ?(budget = Budget.unlimited) m cfg g cof =
           Hashtbl.replace members c [ v ];
           Hashtbl.replace joined c cv)
     order;
-  let renumbered =
-    (* colors were allocated in first-use order already, 0..ncolors-1 *)
-    colors
-  in
-  let best = coloring_of cfg g in
-  if Bits.ceil_log2 (Coloring.color_count best) < Bits.ceil_log2 !ncolors then best
-  else renumbered
+  (* [colors] holds 0..ncolors-1 in first-use order already. *)
+  let b = Bits.ceil_log2 !ncolors in
+  let limit = cfg.Config.exact_coloring_limit in
+  if b = 0 || Coloring.colorable ~limit g (1 lsl (b - 1)) = Some false then colors
+  else
+    let best = coloring_of cfg g in
+    if Bits.ceil_log2 (Coloring.color_count best) < b then best else colors
 
 (* Group one item's cofactors by identical on-sets: the step-3-disabled
    fallback.  For completely specified functions this is the classical
@@ -178,7 +185,7 @@ let run ?(budget = Budget.unlimited) ?(checks = Diagnostic.Off)
   let per_output =
     Array.init nitems (fun i ->
         if cfg.Config.dc_steps.Config.cms then begin
-          let g = Classes.item_incompat_of_groups m info i class_of_node n_joint in
+          let g = Classes.incompat m joint_cof.(i) in
           let colors =
             canonicalize_colors
               (merge_coloring ~budget m cfg g (fun jc -> [ joint_cof.(i).(jc) ]))

@@ -9,10 +9,11 @@ let maximum g =
   let base = Array.make size 0 in
   let used = Array.make size false in
   let blossom = Array.make size false in
+  let used_path = Array.make size false in
   let q = Queue.create () in
 
   let lca a b =
-    let used_path = Array.make size false in
+    Array.fill used_path 0 size false;
     let rec mark a =
       let a = base.(a) in
       used_path.(a) <- true;
@@ -45,40 +46,43 @@ let maximum g =
     Queue.clear q;
     Queue.add root q;
     let result = ref (-1) in
+    let visit v u =
+      if base.(v) <> base.(u) && mate.(v) <> u then
+        if u = root || (mate.(u) <> -1 && p.(mate.(u)) <> -1) then begin
+          (* Odd cycle: contract the blossom with base [curbase]. *)
+          let curbase = lca v u in
+          Array.fill blossom 0 size false;
+          mark_path v curbase u;
+          mark_path u curbase v;
+          for i = 0 to size - 1 do
+            if blossom.(base.(i)) then begin
+              base.(i) <- curbase;
+              if not used.(i) then begin
+                used.(i) <- true;
+                Queue.add i q
+              end
+            end
+          done
+        end
+        else if p.(u) = -1 then begin
+          p.(u) <- v;
+          if mate.(u) = -1 then begin
+            result := u;
+            raise Exit
+          end
+          else begin
+            used.(mate.(u)) <- true;
+            Queue.add mate.(u) q
+          end
+        end
+    in
     (try
        while not (Queue.is_empty q) do
          let v = Queue.pop q in
-         let visit u =
-           if base.(v) <> base.(u) && mate.(v) <> u then
-             if u = root || (mate.(u) <> -1 && p.(mate.(u)) <> -1) then begin
-               (* Odd cycle: contract the blossom with base [curbase]. *)
-               let curbase = lca v u in
-               Array.fill blossom 0 size false;
-               mark_path v curbase u;
-               mark_path u curbase v;
-               for i = 0 to size - 1 do
-                 if blossom.(base.(i)) then begin
-                   base.(i) <- curbase;
-                   if not used.(i) then begin
-                     used.(i) <- true;
-                     Queue.add i q
-                   end
-                 end
-               done
-             end
-             else if p.(u) = -1 then begin
-               p.(u) <- v;
-               if mate.(u) = -1 then begin
-                 result := u;
-                 raise Exit
-               end
-               else begin
-                 used.(mate.(u)) <- true;
-                 Queue.add mate.(u) q
-               end
-             end
-         in
-         List.iter visit (Ugraph.neighbours g v)
+         let nb = Ugraph.neighbours g v in
+         for k = 0 to Array.length nb - 1 do
+           visit v nb.(k)
+         done
        done
      with Exit -> ());
     !result
@@ -110,18 +114,23 @@ let maximum g =
   done;
   List.rev !pairs
 
+(* Edges in [Ugraph.edges] order: ascending [i], then ascending [j > i]. *)
 let greedy g =
   let size = Ugraph.n g in
   let taken = Array.make size false in
-  let pick acc (i, j) =
-    if taken.(i) || taken.(j) then acc
-    else begin
-      taken.(i) <- true;
-      taken.(j) <- true;
-      (i, j) :: acc
-    end
-  in
-  List.rev (List.fold_left pick [] (Ugraph.edges g))
+  let acc = ref [] in
+  for i = 0 to size - 1 do
+    let nb = Ugraph.neighbours g i in
+    for k = 0 to Array.length nb - 1 do
+      let j = nb.(k) in
+      if j > i && (not taken.(i)) && not taken.(j) then begin
+        taken.(i) <- true;
+        taken.(j) <- true;
+        acc := (i, j) :: !acc
+      end
+    done
+  done;
+  List.rev !acc
 
 let size pairs = List.length pairs
 

@@ -96,6 +96,51 @@ let classes_props =
         nodes >= 1 && nodes <= 8 && Classes.nvertices info = 8);
   ]
 
+(* The Hashtbl class numbering that [Classes.numbering] replaced, kept
+   as the oracle: every vertex keyed by the tuple of its cofactors' id
+   pairs, ids handed out in first-occurrence order. *)
+let reference_node_of_vertex isfs bound =
+  let vecs = List.map (fun f -> Isf.cofactor_vector man f bound) isfs in
+  let nverts = 1 lsl List.length bound in
+  let table = Hashtbl.create 64 in
+  Array.init nverts (fun v ->
+      let key =
+        List.map (fun vec -> (Bdd.id (Isf.on vec.(v)), Bdd.id (Isf.dc vec.(v)))) vecs
+      in
+      match Hashtbl.find_opt table key with
+      | Some node -> node
+      | None ->
+          let node = Hashtbl.length table in
+          Hashtbl.add table key node;
+          node)
+
+(* A random ascending bound set of 1-6 of the variables 0..8; the ISFs
+   of these tests live on 0..6, so 7 and 8 are outside every support. *)
+let gen_bound =
+  let open QCheck2.Gen in
+  let+ mask = int_range 1 511 and+ cut = int_range 1 6 in
+  let vars = List.filter (fun v -> (mask lsr v) land 1 = 1) (List.init 9 Fun.id) in
+  List.filteri (fun i _ -> i < cut) vars
+
+let numbering_props =
+  [
+    QCheck2.Test.make ~name:"cofactor_matrix numbers nodes as the Hashtbl did"
+      ~count:150
+      QCheck2.Gen.(pair (list_size (int_range 1 3) (gen_isf 7)) gen_bound)
+      (fun (isfs, bound) ->
+        let info = Classes.cofactor_matrix man isfs bound in
+        let expected = reference_node_of_vertex isfs bound in
+        let vecs = List.map (fun f -> Isf.cofactor_vector man f bound) isfs in
+        info.Classes.node_of_vertex = expected
+        && Classes.nnodes info = 1 + Array.fold_left max 0 expected
+        && List.for_all
+             (fun v ->
+               List.for_all2 Isf.equal
+                 (Array.to_list info.Classes.node_cof.(expected.(v)))
+                 (List.map (fun vec -> vec.(v)) vecs))
+             (List.init (Array.length expected) Fun.id));
+  ]
+
 let encode_tests =
   [
     Alcotest.test_case "single output, 3 classes -> 2 functions" `Quick
@@ -400,6 +445,95 @@ let score_cache_props =
         && Array.for_all2 Isf.equal extended direct);
   ]
 
+(* The Hashtbl scorer that [Bound_select.score] replaced (area cost, no
+   cache), kept as the oracle: support overlap by [List.mem] over
+   [Isf.support], class counts in [Hashtbl]s keyed by id pairs and by
+   lists of them. *)
+let reference_score ~lut_size m isfs bound =
+  let relevant =
+    List.filter_map
+      (fun f ->
+        let overlap =
+          match bound with
+          | [] -> 0
+          | _ ->
+              let sup = Isf.support m f in
+              List.length (List.filter (fun v -> List.mem v sup) bound)
+        in
+        if overlap = 0 then None else Some (f, overlap))
+      isfs
+  in
+  if relevant = [] then Cost.worst
+  else begin
+    let vecs =
+      List.map (fun (f, overlap) -> (Isf.cofactor_vector m f bound, overlap)) relevant
+    in
+    let nverts = 1 lsl List.length bound in
+    let distinct_of vec =
+      let tbl = Hashtbl.create 8 in
+      for v = 0 to nverts - 1 do
+        Hashtbl.replace tbl (Bdd.id (Isf.on vec.(v)), Bdd.id (Isf.dc vec.(v))) ()
+      done;
+      Hashtbl.length tbl
+    in
+    let reduction =
+      List.fold_left
+        (fun acc (vec, overlap) ->
+          acc + max 0 (overlap - Bits.ceil_log2 (distinct_of vec)))
+        0 vecs
+    in
+    let joint =
+      let tbl = Hashtbl.create 8 in
+      for v = 0 to nverts - 1 do
+        Hashtbl.replace tbl
+          (List.map
+             (fun (vec, _) -> (Bdd.id (Isf.on vec.(v)), Bdd.id (Isf.dc vec.(v))))
+             vecs)
+          ()
+      done;
+      Hashtbl.length tbl
+    in
+    let p = List.length bound in
+    let realization =
+      if p <= lut_size then 0
+      else Bits.ceil_log2 joint * (1 + ((p - 2) / max 1 (lut_size - 1)))
+    in
+    let pair =
+      if lut_size <= 3 then (-(reduction - realization), joint)
+      else (joint + realization, -reduction)
+    in
+    Cost.triple Cost.area ~bound pair
+  end
+
+(* An ISF on 0..6 whose on-set reads only the variables of one random
+   mask and whose don't cares also read those of another, so that the
+   on-set and off-set supports differ. *)
+let gen_sparse_isf =
+  let open QCheck2.Gen in
+  let* on_mask = int_bound 127 in
+  let* dc_mask = int_bound 127 in
+  let* on_bits = list_size (return 128) bool in
+  let+ dc_bits = list_size (return 128) (int_range 0 2) in
+  let on_arr = Array.of_list on_bits and dc_arr = Array.of_list dc_bits in
+  let on i = on_arr.(i land on_mask) in
+  let dc i = (not (on i)) && dc_arr.(i land dc_mask) = 0 in
+  Isf.make man ~on:(Bv.to_bdd man (Bv.of_fun 7 on)) ~dc:(Bv.to_bdd man (Bv.of_fun 7 dc))
+
+let score_reference_props =
+  [
+    QCheck2.Test.make ~name:"score equals the Hashtbl scorer" ~count:200
+      QCheck2.Gen.(
+        pair
+          (list_size (int_range 1 3) (oneof [ gen_isf 7; gen_sparse_isf ]))
+          gen_bound)
+      (fun (isfs, bound) ->
+        List.for_all
+          (fun lut_size ->
+            Bound_select.score ~lut_size man isfs bound
+            = reference_score ~lut_size man isfs bound)
+          [ 2; 5 ]);
+  ]
+
 let bits_tests =
   [
     Alcotest.test_case "ceil_log2 boundaries" `Quick (fun () ->
@@ -595,11 +729,68 @@ let clb_tests =
         done);
   ]
 
+(* The merge graph reads each LUT's fanins once and counts distinct
+   inputs by a merge walk; its edges must be exactly the pairs the
+   pairwise rule accepts, on real decomposed networks of every size. *)
+let examples_dir = "../examples/circuits"
+
+let test_merge_graph_matches_mergeable () =
+  let files =
+    Sys.readdir examples_dir |> Array.to_list
+    |> List.filter (fun f ->
+           Filename.check_suffix f ".blif" || Filename.check_suffix f ".pla")
+    |> List.sort compare
+  in
+  check_bool "example circuits found" true (files <> []);
+  List.iter
+    (fun file ->
+      let m = Bdd.manager () in
+      let path = Filename.concat examples_dir file in
+      let spec =
+        if Filename.check_suffix file ".pla" then
+          let pla = Pla.parse_file path in
+          {
+            Driver.input_names = pla.Pla.input_names;
+            functions = Pla.to_isfs m ~var_of_column:Fun.id pla;
+          }
+        else Randnet.spec_of_network m (Blif.parse_file path)
+      in
+      List.iter
+        (fun lut_size ->
+          let net = (Mulop.run ~lut_size m Mulop.Mulop_dc spec).Mulop.network in
+          let luts, g = Clb.merge_graph ~lut_size net in
+          let count = Array.length luts in
+          check_bool
+            (Printf.sprintf "%s k=%d: graph on the LUTs" file lut_size)
+            true
+            (Ugraph.n g = count && count = List.length (Network.lut_signals net));
+          let mismatches = ref 0 in
+          for a = 0 to count - 1 do
+            for b = 0 to count - 1 do
+              if
+                a <> b
+                && Clb.mergeable ~lut_size net luts.(a) luts.(b)
+                   <> Ugraph.has_edge g a b
+              then incr mismatches
+            done
+          done;
+          check_int
+            (Printf.sprintf "%s k=%d: pairs where the graph disagrees" file
+               lut_size)
+            0 !mismatches)
+        [ 3; 4; 5; 6 ])
+    files
+
 let suite =
   classes_tests @ encode_tests @ step_tests
   @ [ scoring_mode_regression ]
   @ bits_tests @ bound_select_tests @ stats_tests @ clb_tests
+  @ [
+      Alcotest.test_case "merge graph edges are the mergeable pairs" `Quick
+        test_merge_graph_matches_mergeable;
+    ]
   @ List.map
       (fun p -> QCheck_alcotest.to_alcotest ~long:false p)
-      (classes_props @ encode_props @ score_cache_props
+      (classes_props @ numbering_props @ encode_props @ score_cache_props
+      @ score_reference_props
       @ [ step_recompose_prop ] @ driver_props)
