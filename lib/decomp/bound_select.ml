@@ -1,6 +1,14 @@
 let worst = Cost.worst
 
-let score ?cache ?stats ?(lut_size = max_int) ?(cost = Cost.area) m isfs bound =
+(* How many variables of [bound] occur in [support]. *)
+let rec overlap support acc = function
+  | [] -> acc
+  | v :: rest ->
+      overlap support (if List.mem v support then acc + 1 else acc) rest
+
+(* [supports] holds [Isf.support] of each ISF, in order. *)
+let score_against ?cache ?stats ?(lut_size = max_int) ?(cost = Cost.area) m
+    isfs supports bound =
   let stats =
     match cache with
     | Some c -> Score_cache.stats c
@@ -8,27 +16,10 @@ let score ?cache ?stats ?(lut_size = max_int) ?(cost = Cost.area) m isfs bound =
   in
   stats.Stats.score_calls <- stats.Stats.score_calls + 1;
   let relevant =
-    List.filter_map
-      (fun f ->
-        let overlap =
-          (* Read once per call; an empty bound set never reads it, as
-             [Isf.support] may build the off-set's nodes. *)
-          match bound with
-          | [] -> 0
-          | _ ->
-              let off = Bdd.support m (Isf.off m f) in
-              let on = Bdd.support m (Isf.on f) in
-              let rec count acc = function
-                | [] -> acc
-                | v :: rest ->
-                    count
-                      (if List.mem v on || List.mem v off then acc + 1 else acc)
-                      rest
-              in
-              count 0 bound
-        in
-        if overlap = 0 then None else Some (f, overlap))
-      isfs
+    List.fold_right2
+      (fun f support acc ->
+        match overlap support 0 bound with 0 -> acc | n -> (f, n) :: acc)
+      isfs supports []
   in
   (* A bound set no ISF depends on reduces nothing: decomposing against
      it is a pure renaming.  It must lose against every genuine
@@ -102,10 +93,24 @@ let score ?cache ?stats ?(lut_size = max_int) ?(cost = Cost.area) m isfs bound =
         result
   end
 
+let score ?cache ?stats ?lut_size ?cost m isfs bound =
+  (* An empty bound set never reads the supports, as [Isf.support] may
+     build the off-set's nodes. *)
+  let supports =
+    List.map (fun f -> match bound with [] -> [] | _ -> Isf.support m f) isfs
+  in
+  score_against ?cache ?stats ?lut_size ?cost m isfs supports bound
+
 let select_with_target ?cache ?cost ?(check = ignore) ?(min_size = 2) m cfg
     ~groups ~eligible isfs target =
   if target < 2 then None
   else begin
+    (* Every candidate is scored against the same ISFs: read each
+       support once per search. *)
+    let supports = List.map (Isf.support m) isfs in
+    let score =
+      score_against ?cache ~lut_size:cfg.Config.lut_size ?cost m isfs supports
+    in
     let in_eligible v = List.mem v eligible in
     (* Atoms: symmetry groups cut down to eligible variables, split into
        chunks no larger than the target; leftover variables become
@@ -162,9 +167,7 @@ let select_with_target ?cache ?cost ?(check = ignore) ?(min_size = 2) m cfg
                 List.map
                   (fun piece ->
                     let cand = List.sort compare (piece @ current) in
-                    ( score ?cache ~lut_size:cfg.Config.lut_size ?cost m isfs
-                        cand,
-                      piece ))
+                    (score cand, piece))
                   extensions
               in
               let best =
@@ -235,7 +238,7 @@ let select_with_target ?cache ?cost ?(check = ignore) ?(min_size = 2) m cfg
       | first :: rest ->
           let rate cand =
             check ();
-            score ?cache ~lut_size:cfg.Config.lut_size ?cost m isfs cand
+            score cand
           in
           Some
             (List.fold_left

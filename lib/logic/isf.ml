@@ -51,12 +51,6 @@ let extend_cofactor_vector m vec vars v =
   let dcs = Bdd.extend_cofactor_vector m (Array.map dc vec) vars v in
   Array.map2 (fun on dc -> make m ~on ~dc) ons dcs
 
-let swap_vars m t i j =
-  make m ~on:(Bdd.swap_vars m t.on i j) ~dc:(Bdd.swap_vars m t.dc i j)
-
-let negate_var m t v =
-  make m ~on:(Bdd.negate_var m t.on v) ~dc:(Bdd.negate_var m t.dc v)
-
 (* Both supports are memoized ascending lists: merge them. *)
 let support m t =
   let rec union (a : int list) b =

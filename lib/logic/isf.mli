@@ -56,8 +56,6 @@ val extend_cofactor_vector : Bdd.manager -> t array -> int list -> int -> t arra
     vector for ascending [vars] to the ascending merge with one more
     variable by splitting each cached cofactor. *)
 
-val swap_vars : Bdd.manager -> t -> int -> int -> t
-val negate_var : Bdd.manager -> t -> int -> t
 val support : Bdd.manager -> t -> int list
 (** Variables on which the on-set or the off-set depends. *)
 

@@ -10,35 +10,84 @@ let symmetric_pair m fs ~rel i j =
   i <> j
   && List.for_all (fun f -> Bdd.equal f (swap_rel m f ~rel i j)) fs
 
-let symmetrize_one m f ~rel i j =
-  let sigma g = swap_rel m g ~rel i j in
+(* The exchange sigma with relative phase [rel] fixes the quadrants
+   (x_i, x_j) = (0, rel) and (1, not rel) and swaps the other two,
+   a = (0, not rel) with b = (1, rel).  With g_q the cofactor of g on
+   quadrant q: sigma(g)_q = g_q on a fixed quadrant, sigma(g)_a = g_b
+   and sigma(g)_b = g_a.  So the test and the closure below need only
+   quadrant cofactors, and yield the same canonical BDDs as [swap_rel]
+   would. *)
+
+(* on /\ sigma(off) = 0: on the fixed quadrants it is on_q /\ off_q = 0;
+   on the moved ones it is on_a /\ off_b and on_b /\ off_a.  The
+   mirrored test sigma(on) /\ off is sigma of this one. *)
+let exchangeable m f rel i j =
   let on = Isf.on f and off = Isf.off m f in
-  let on' = Bdd.or_ m on (sigma on) in
-  let off' = Bdd.or_ m off (sigma off) in
-  if Bdd.is_zero (Bdd.and_ m on' off') then Some (Isf.of_on_off m ~on:on' ~off:off')
-  else None
+  let on0 = Bdd.restrict m on i false and off1 = Bdd.restrict m off i true in
+  Bdd.is_zero
+    (Bdd.and_ m (Bdd.restrict m on0 j (not rel)) (Bdd.restrict m off1 j rel))
+  &&
+  let on1 = Bdd.restrict m on i true and off0 = Bdd.restrict m off i false in
+  Bdd.is_zero
+    (Bdd.and_ m (Bdd.restrict m on1 j rel) (Bdd.restrict m off0 j (not rel)))
+
+let rec all_exchangeable m rel i j = function
+  | [] -> true
+  | f :: rest -> exchangeable m f rel i j && all_exchangeable m rel i j rest
+
+let symmetrizable m fs ~rel i j = i <> j && all_exchangeable m rel i j fs
+
+(* g with both moved quadrants replaced by [u]; [c] and [d] are g's
+   cofactors on the fixed quadrants (0, rel) and (1, not rel). *)
+let with_moved m rel i j ~c ~d u =
+  let vj = Bdd.var m j in
+  let lo = if rel then Bdd.ite m vj c u else Bdd.ite m vj u c in
+  let hi = if rel then Bdd.ite m vj u d else Bdd.ite m vj d u in
+  Bdd.ite m (Bdd.var m i) hi lo
+
+exception Conflict
+
+(* g \/ sigma(g) keeps g on the fixed quadrants and puts g_a \/ g_b on
+   both moved ones, so the closed on- and off-sets meet exactly where
+   their moved-quadrant unions do.  Raises [Conflict] when they meet.
+   The closed dc-set is the old one on the fixed quadrants and the
+   complement of both unions on the moved ones. *)
+let close_one m f rel i j =
+  let on = Isf.on f and off = Isf.off m f in
+  let on0 = Bdd.restrict m on i false and on1 = Bdd.restrict m on i true in
+  let off0 = Bdd.restrict m off i false and off1 = Bdd.restrict m off i true in
+  let on_a = Bdd.restrict m on0 j (not rel)
+  and on_b = Bdd.restrict m on1 j rel in
+  let off_a = Bdd.restrict m off0 j (not rel)
+  and off_b = Bdd.restrict m off1 j rel in
+  if Bdd.equal on_a on_b && Bdd.equal off_a off_b then f
+  else
+    let u_on = Bdd.or_ m on_a on_b and u_off = Bdd.or_ m off_a off_b in
+    if not (Bdd.is_zero (Bdd.and_ m u_on u_off)) then raise Conflict;
+    let dc = Isf.dc f in
+    let dc0 = Bdd.restrict m dc i false and dc1 = Bdd.restrict m dc i true in
+    let on' =
+      with_moved m rel i j ~c:(Bdd.restrict m on0 j rel)
+        ~d:(Bdd.restrict m on1 j (not rel)) u_on
+    and dc' =
+      with_moved m rel i j ~c:(Bdd.restrict m dc0 j rel)
+        ~d:(Bdd.restrict m dc1 j (not rel))
+        (Bdd.nor m u_on u_off)
+    in
+    Isf.make m ~on:on' ~dc:dc'
+
+let rec close_all m rel i j = function
+  | [] -> []
+  | f :: rest ->
+      let f' = close_one m f rel i j in
+      f' :: close_all m rel i j rest
 
 let symmetrize m fs ~rel i j =
   if i = j then None
   else
-    let rec go acc = function
-      | [] -> Some (List.rev acc)
-      | f :: rest -> (
-          match symmetrize_one m f ~rel i j with
-          | Some f' -> go (f' :: acc) rest
-          | None -> None)
-    in
-    go [] fs
-
-let symmetrizable m fs ~rel i j =
-  i <> j
-  && List.for_all
-       (fun f ->
-         let sigma g = swap_rel m g ~rel i j in
-         let on = Isf.on f and off = Isf.off m f in
-         Bdd.is_zero (Bdd.and_ m on (sigma off))
-         && Bdd.is_zero (Bdd.and_ m (sigma on) off))
-       fs
+    match close_all m rel i j fs with
+    | fs' -> Some fs'
+    | exception Conflict -> None
 
 (* Exchange relations induced by the phases of a group: every pair of
    members, with the xor of their phases. *)

@@ -47,17 +47,37 @@ val partition :
 (** {1 Symmetrization of incompletely specified functions} *)
 
 val swap_rel : Bdd.manager -> Bdd.t -> rel:bool -> int -> int -> Bdd.t
-(** The literal-exchange transform on a completely specified function. *)
+(** The literal-exchange transform [sigma] on a completely specified
+    function, built over the whole function with {!Bdd.swap_vars} (and
+    {!Bdd.negate_var} for [rel = true]).  It is the reference transform:
+    {!symmetric_pair} and the invariant checker use it, so they stay
+    independent of the quadrant arithmetic below. *)
+
+(** The exchange of [x_i] and [x_j] with phase [rel] fixes the quadrants
+    [(x_i, x_j) = (0, rel)] and [(1, not rel)] of the pair and swaps the
+    other two, [a = (0, not rel)] and [b = (1, rel)].  The two functions
+    below read the cofactors of the on- and off-sets on these quadrants
+    instead of building [sigma] of the whole function; their results
+    are the same canonical BDDs as the [swap_rel] formulation.  Both
+    treat [i = j] as never symmetrizable. *)
 
 val symmetrizable :
   Bdd.manager -> Isf.t list -> rel:bool -> int -> int -> bool
 (** Can don't cares of every function in the vector be assigned so that
-    all become symmetric in the pair?  (No assignment is performed.) *)
+    all become symmetric in the pair?  (No assignment is performed.)
+    Exactly when every function has [on_a /\ off_b = 0] and
+    [on_b /\ off_a = 0]: on the fixed quadrants [on /\ sigma(off)] is
+    [on /\ off = 0], on the moved ones it is these two conjunctions. *)
 
 val symmetrize :
   Bdd.manager -> Isf.t list -> rel:bool -> int -> int -> Isf.t list option
 (** Perform the forced assignments: on-sets and off-sets are closed
-    under the exchange.  [None] if the pair is not symmetrizable. *)
+    under the exchange ([on \/ sigma(on)], [off \/ sigma(off)]).  The
+    closure keeps the fixed quadrants and puts [u_on = on_a \/ on_b]
+    (resp. [u_off]) on both moved ones, so the result is [None] iff
+    [u_on /\ u_off <> 0] for some function; otherwise each function is
+    rebuilt by ITEs over [x_i] and [x_j], and one whose moved quadrants
+    already agree is returned as it is. *)
 
 (** {1 Step 1 of the paper's don't-care assignment} *)
 

@@ -201,6 +201,128 @@ let props =
         vars = [ 0; 1; 2; 3; 4 ]);
   ]
 
+(* The swap-based step-1 transforms that the quadrant formulation of
+   [Symmetry] replaced: build sigma(g) over the whole function with
+   [swap_rel], then intersect or unite it with g. *)
+module Oracle = struct
+  let sigma g ~rel i j = Symmetry.swap_rel man g ~rel i j
+
+  let symmetrizable fs ~rel i j =
+    i <> j
+    && List.for_all
+         (fun f ->
+           let on = Isf.on f and off = Isf.off man f in
+           Bdd.is_zero (Bdd.and_ man on (sigma off ~rel i j))
+           && Bdd.is_zero (Bdd.and_ man (sigma on ~rel i j) off))
+         fs
+
+  let symmetrize_one f ~rel i j =
+    let on = Isf.on f and off = Isf.off man f in
+    let on' = Bdd.or_ man on (sigma on ~rel i j) in
+    let off' = Bdd.or_ man off (sigma off ~rel i j) in
+    if Bdd.is_zero (Bdd.and_ man on' off') then
+      Some (Isf.of_on_off man ~on:on' ~off:off')
+    else None
+
+  let symmetrize fs ~rel i j =
+    if i = j then None
+    else
+      List.fold_left
+        (fun acc f ->
+          match acc with
+          | None -> None
+          | Some done_ ->
+              Option.map (fun f' -> f' :: done_) (symmetrize_one f ~rel i j))
+        (Some []) fs
+      |> Option.map List.rev
+
+  let close_group fs group =
+    let rec pairs = function
+      | [] -> []
+      | (v, pv) :: rest ->
+          List.map (fun (w, pw) -> (v, w, pv <> pw)) rest @ pairs rest
+    in
+    let pairs = pairs group in
+    let rec loop fs =
+      let step (acc, changed) (i, j, rel) =
+        match acc with
+        | None -> (None, changed)
+        | Some fs -> (
+            match symmetrize fs ~rel i j with
+            | None -> (None, changed)
+            | Some fs' ->
+                (Some fs', changed || not (List.for_all2 Isf.equal fs fs')))
+      in
+      match List.fold_left step (Some fs, false) pairs with
+      | Some fs', true -> loop fs'
+      | result, _ -> result
+    in
+    loop fs
+end
+
+let same_result a b =
+  match (a, b) with
+  | None, None -> true
+  | Some fs, Some gs ->
+      List.length fs = List.length gs && List.for_all2 Isf.equal fs gs
+  | _ -> false
+
+(* Random vectors of 1-3 ISFs over 2-7 variables; the don't-care
+   density varies so that both verdicts are common. *)
+let gen_vector =
+  let open QCheck2.Gen in
+  let* n = int_range 2 7 in
+  let* dc_pct = oneofl [ 10; 40; 70; 90 ] in
+  let cell =
+    let* r = int_bound 99 in
+    if r < dc_pct then return 2 else map (fun b -> if b then 1 else 0) bool
+  in
+  let isf =
+    let+ cells = array_repeat (1 lsl n) cell in
+    let on = Bv.of_fun n (fun i -> cells.(i) = 1) in
+    let dc = Bv.of_fun n (fun i -> cells.(i) = 2) in
+    Isf.make man ~on:(Bv.to_bdd man on) ~dc:(Bv.to_bdd man dc)
+  in
+  let* k = int_range 1 3 in
+  let+ fs = list_repeat k isf in
+  (n, fs)
+
+let oracle_props =
+  [
+    QCheck2.Test.make ~name:"quadrant exchange equals the swap-based oracle"
+      ~count:300 gen_vector (fun (n, fs) ->
+        let ok = ref true in
+        for i = 0 to n - 1 do
+          for j = 0 to n - 1 do
+            List.iter
+              (fun rel ->
+                ok :=
+                  !ok
+                  && Symmetry.symmetrizable man fs ~rel i j
+                     = Oracle.symmetrizable fs ~rel i j
+                  && same_result
+                       (Symmetry.symmetrize man fs ~rel i j)
+                       (Oracle.symmetrize fs ~rel i j))
+              [ false; true ]
+          done
+        done;
+        !ok);
+    QCheck2.Test.make ~name:"close_group equals the swap-based oracle"
+      ~count:300
+      QCheck2.Gen.(
+        let* n, fs = gen_vector in
+        let* vars = shuffle_l (List.init n Fun.id) in
+        let* size = int_range 2 (min 4 n) in
+        let+ phases = list_repeat size bool in
+        (fs, List.combine (List.filteri (fun k _ -> k < size) vars) phases))
+      (fun (fs, group) ->
+        same_result
+          (Symmetry.close_group man fs group)
+          (Oracle.close_group fs group));
+  ]
+
 let suite =
   detection_tests @ symmetrize_tests
-  @ List.map (fun p -> QCheck_alcotest.to_alcotest ~long:false p) props
+  @ List.map
+      (fun p -> QCheck_alcotest.to_alcotest ~long:false p)
+      (props @ oracle_props)
