@@ -1,12 +1,12 @@
 (* Benchmark harness: regenerates every table and figure of the paper's
-   evaluation (Section 6) and runs Bechamel timing benches.
+   evaluation (Section 6) plus the extension sections.
 
      dune exec bench/main.exe             -- everything
      dune exec bench/main.exe -- table1 figure2 ...   -- selected sections
      dune exec bench/main.exe -- quick    -- skip the slowest circuits
 
    Sections: table1 table2 figure2 figure3 ablation governor check
-   semantics optimize objective dataflow robdd batch timing
+   semantics optimize objective dataflow robdd batch
 
    Every run emits BENCH_<stamp>.json and BENCH_latest.json
    (Bench_report schema): per-section and per-run wall time, the
@@ -16,15 +16,14 @@
 
    Flags:
      --out DIR           where BENCH_*.json land (default ".")
-     --against FILE      diff this run against a baseline report;
-                         exit 1 on stable-counter/quality regression
-     --max-regress PCT   regression threshold for --against (default 10)
-     --json              print the --against verdict as JSON
+     --against FILE      diff this run against a baseline report; exit 1
+                         unless every deterministic cell of every stable
+                         run equals the baseline and no run is missing
      --render-md [FILE]  render a report (default OUT/BENCH_latest.json)
                          as markdown to stdout and exit
 
-   Paper-vs-measured records land in EXPERIMENTS.md, regenerated from
-   BENCH_latest.json via --render-md. *)
+   The tables of EXPERIMENTS.md are rendered via --render-md from the
+   BENCH_latest.json of a full (non-quick) run. *)
 
 module R = Bench_report
 
@@ -889,97 +888,6 @@ let batch_scaling quick =
   }
 
 (* ------------------------------------------------------------------ *)
-(* Bechamel timing benches: one Test.make per table / figure           *)
-(* ------------------------------------------------------------------ *)
-
-let timing _quick =
-  let open Bechamel in
-  let bench_table1 =
-    Test.make ~name:"table1-row rd73 both algorithms"
-      (Staged.stage (fun () ->
-           let m = Bdd.manager () in
-           let spec = (Mcnc.find "rd73").Mcnc.build m in
-           let ii = run_driver m (Mulop.config_of Mulop.Mulop_ii) spec in
-           let dc = run_driver m (Mulop.config_of Mulop.Mulop_dc) spec in
-           ignore
-             (Clb.clb_count Clb.First_fit ii + Clb.clb_count Clb.First_fit dc)))
-  in
-  let bench_table2 =
-    Test.make ~name:"table2-row z4ml matching merge"
-      (Staged.stage (fun () ->
-           let m = Bdd.manager () in
-           let spec = (Mcnc.find "z4ml").Mcnc.build m in
-           let net = run_driver m (Mulop.config_of Mulop.Mulop_dc) spec in
-           ignore (Clb.clb_count Clb.Max_matching net)))
-  in
-  let bench_figure2 =
-    Test.make ~name:"figure2 4-bit adder gates"
-      (Staged.stage (fun () ->
-           let m = Bdd.manager () in
-           let spec = Arith.adder m ~bits:4 in
-           ignore
-             (run_driver m (Mulop.config_of ~lut_size:2 Mulop.Mulop_dc) spec)))
-  in
-  let bench_figure3 =
-    Test.make ~name:"figure3 pm_2 gates"
-      (Staged.stage (fun () ->
-           let m = Bdd.manager () in
-           let spec = Arith.partial_multiplier m ~n:2 in
-           ignore
-             (run_driver m (Mulop.config_of ~lut_size:2 Mulop.Mulop_dc) spec)))
-  in
-  let bench_ablation =
-    Test.make ~name:"ablation-cell rd84 sym-only"
-      (Staged.stage (fun () ->
-           let m = Bdd.manager () in
-           let spec = (Mcnc.find "rd84").Mcnc.build m in
-           let cfg =
-             {
-               Config.mulop_dc with
-               Config.dc_steps =
-                 { Config.symmetry = true; sharing = false; cms = false };
-             }
-           in
-           ignore (run_driver m cfg spec)))
-  in
-  let benches =
-    [
-      bench_table1; bench_table2; bench_figure2; bench_figure3; bench_ablation;
-    ]
-  in
-  let ols =
-    Analyze.ols ~bootstrap:0 ~r_square:false ~predictors:[| Measure.run |]
-  in
-  let instance = Toolkit.Instance.monotonic_clock in
-  let cfg = Benchmark.cfg ~limit:50 ~quota:(Time.second 0.5) () in
-  let rows = ref [] in
-  List.iter
-    (fun test ->
-      let results = Benchmark.all cfg [ instance ] test in
-      let analysis = Analyze.all ols instance results in
-      Hashtbl.iter
-        (fun name result ->
-          match Analyze.OLS.estimates result with
-          | Some (est :: _) ->
-              rows := row name [ ("ms/run", R.Millis (est /. 1e6)) ] :: !rows
-          | Some [] | None -> rows := row name [] :: !rows)
-        analysis)
-    benches;
-  {
-    title = "Timing (Bechamel): one bench per table/figure, small instances";
-    command = "dune exec bench/main.exe -- timing";
-    columns = [ "bench"; "ms/run" ];
-    rows = List.rev !rows;
-    runs = [];
-    notes =
-      [
-        "timings are per full decomposition run of the named instance \
-         (OLS estimate over Bechamel samples); purely advisory — never \
-         part of regression gating";
-      ];
-  }
-
-(* ------------------------------------------------------------------ *)
 (* Objective: area / delay / balanced Pareto points                    *)
 (* ------------------------------------------------------------------ *)
 
@@ -1124,18 +1032,10 @@ let dataflow_bench quick =
             Semantics.analyze_report ~check ~dataflow ~sat_timeout:1e9 m
               ~var_of_input net)
       in
-      let cov = report.Semantics.coverage in
       (* mirror the analyzer coverage into the run's stats: these are
          deterministic (step budget + complete SAT fallback), so the
          perf gate tracks them like any other counter *)
-      stats.Stats.sem_nodes <-
-        cov.Semantics.exact_nodes + cov.Semantics.windowed_nodes;
-      stats.Stats.sat_calls <- cov.Semantics.sat_calls;
-      stats.Stats.sat_conflicts <- cov.Semantics.sat_conflicts;
-      stats.Stats.windows_built <- cov.Semantics.windows_built;
-      stats.Stats.df_iterations <- cov.Semantics.df_iterations;
-      stats.Stats.df_facts <- cov.Semantics.df_facts;
-      stats.Stats.screened_out <- cov.Semantics.screened_out;
+      Stats.add_coverage stats report.Semantics.coverage;
       runs :=
         mk_run
           ~algorithm:
@@ -1210,7 +1110,6 @@ let all_sections =
     ("dataflow", dataflow_bench);
     ("robdd", robdd);
     ("batch", batch_scaling);
-    ("timing", timing);
   ]
 
 type cli = {
@@ -1218,17 +1117,15 @@ type cli = {
   quick : bool;
   out_dir : string;
   against : string option;
-  max_regress : float;
-  json : bool;
   render_md : string option option;  (* Some file = render FILE and exit *)
 }
 
 let usage () =
   prerr_endline
     "usage: bench [SECTION...] [quick] [--out DIR] [--against FILE]\n\
-    \             [--max-regress PCT] [--json] [--render-md [FILE]]\n\
+    \             [--render-md [FILE]]\n\
      sections: table1 table2 figure2 figure3 ablation governor check\n\
-    \          semantics optimize objective dataflow robdd batch timing";
+    \          semantics optimize objective dataflow robdd batch";
   exit 2
 
 let parse_cli () =
@@ -1238,13 +1135,6 @@ let parse_cli () =
     | "quick" :: rest -> go { acc with quick = true } rest
     | "--out" :: dir :: rest -> go { acc with out_dir = dir } rest
     | "--against" :: file :: rest -> go { acc with against = Some file } rest
-    | "--max-regress" :: pct :: rest -> (
-        match float_of_string_opt pct with
-        | Some p when p > 0.0 -> go { acc with max_regress = p } rest
-        | _ ->
-            Printf.eprintf "bench: --max-regress needs a positive number, got %S\n" pct;
-            usage ())
-    | "--json" :: rest -> go { acc with json = true } rest
     | "--render-md" :: file :: rest when Filename.check_suffix file ".json" ->
         go { acc with render_md = Some (Some file) } rest
     | "--render-md" :: rest -> go { acc with render_md = Some None } rest
@@ -1260,8 +1150,6 @@ let parse_cli () =
       quick = false;
       out_dir = ".";
       against = None;
-      max_regress = 10.0;
-      json = false;
       render_md = None;
     }
     (List.tl (Array.to_list Sys.argv))
@@ -1334,9 +1222,6 @@ let () =
           prerr_endline ("bench: " ^ msg);
           exit 2
       | Ok base ->
-          let v =
-            R.diff ~base ~current:report ~max_regress:cli.max_regress
-          in
-          if cli.json then print_endline (Json.to_string (R.verdict_to_json v))
-          else Format.printf "%a@." R.pp_verdict v;
+          let v = R.diff ~base ~current:report in
+          Format.printf "%a@." R.pp_verdict v;
           if not (R.verdict_ok v) then exit 1)

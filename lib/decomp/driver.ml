@@ -661,22 +661,7 @@ let decompose_report ?(cfg = Config.default) ?(budget = Budget.unlimited)
     let report =
       Semantics.analyze_report ~care_of_output ~check m ~var_of_input net
     in
-    let cov = report.Semantics.coverage in
-    stats.Stats.sem_nodes <-
-      stats.Stats.sem_nodes + cov.Semantics.exact_nodes
-      + cov.Semantics.windowed_nodes;
-    if cov.Semantics.truncated_nodes > 0 then
-      stats.Stats.sem_truncations <- stats.Stats.sem_truncations + 1;
-    stats.Stats.sat_calls <- stats.Stats.sat_calls + cov.Semantics.sat_calls;
-    stats.Stats.sat_conflicts <-
-      stats.Stats.sat_conflicts + cov.Semantics.sat_conflicts;
-    stats.Stats.windows_built <-
-      stats.Stats.windows_built + cov.Semantics.windows_built;
-    stats.Stats.df_iterations <-
-      stats.Stats.df_iterations + cov.Semantics.df_iterations;
-    stats.Stats.df_facts <- stats.Stats.df_facts + cov.Semantics.df_facts;
-    stats.Stats.screened_out <-
-      stats.Stats.screened_out + cov.Semantics.screened_out;
+    Stats.add_coverage stats report.Semantics.coverage;
     List.iter emit_finding report.Semantics.findings;
     ignore (Stats.mark clock "semantics")
   end;

@@ -47,56 +47,29 @@ let create () =
     phases = Hashtbl.create 8;
   }
 
-let reset t =
-  t.score_calls <- 0;
-  t.score_hits <- 0;
-  t.cof_lookups <- 0;
-  t.cof_hits <- 0;
-  t.cof_extends <- 0;
-  t.cof_fresh <- 0;
-  t.restricts <- 0;
-  t.retains <- 0;
-  t.evicted <- 0;
-  t.budget_checks <- 0;
-  t.sem_nodes <- 0;
-  t.sem_truncations <- 0;
-  t.sat_calls <- 0;
-  t.sat_conflicts <- 0;
-  t.windows_built <- 0;
-  t.df_iterations <- 0;
-  t.df_facts <- 0;
-  t.screened_out <- 0;
-  t.degradations <- [];
-  t.findings <- [];
-  Hashtbl.reset t.phases
-
-let merge ~into s =
-  into.score_calls <- into.score_calls + s.score_calls;
-  into.score_hits <- into.score_hits + s.score_hits;
-  into.cof_lookups <- into.cof_lookups + s.cof_lookups;
-  into.cof_hits <- into.cof_hits + s.cof_hits;
-  into.cof_extends <- into.cof_extends + s.cof_extends;
-  into.cof_fresh <- into.cof_fresh + s.cof_fresh;
-  into.restricts <- into.restricts + s.restricts;
-  into.retains <- into.retains + s.retains;
-  into.evicted <- into.evicted + s.evicted;
-  into.budget_checks <- into.budget_checks + s.budget_checks;
-  into.sem_nodes <- into.sem_nodes + s.sem_nodes;
-  into.sem_truncations <- into.sem_truncations + s.sem_truncations;
-  into.sat_calls <- into.sat_calls + s.sat_calls;
-  into.sat_conflicts <- into.sat_conflicts + s.sat_conflicts;
-  into.windows_built <- into.windows_built + s.windows_built;
-  into.df_iterations <- into.df_iterations + s.df_iterations;
-  into.df_facts <- into.df_facts + s.df_facts;
-  into.screened_out <- into.screened_out + s.screened_out;
-  (* both lists are newest-first; keep the merged one newest-first too *)
-  into.degradations <- s.degradations @ into.degradations;
-  into.findings <- s.findings @ into.findings;
-  Hashtbl.iter
-    (fun name dt ->
-      Hashtbl.replace into.phases name
-        (dt +. Option.value ~default:0.0 (Hashtbl.find_opt into.phases name)))
-    s.phases
+let counter_fields =
+  (* name, getter, setter — one list drives merge, to_json, of_json
+     and the bench diff's notion of "every counter". *)
+  [
+    ("score_calls", (fun t -> t.score_calls), fun t v -> t.score_calls <- v);
+    ("score_hits", (fun t -> t.score_hits), fun t v -> t.score_hits <- v);
+    ("cof_lookups", (fun t -> t.cof_lookups), fun t v -> t.cof_lookups <- v);
+    ("cof_hits", (fun t -> t.cof_hits), fun t v -> t.cof_hits <- v);
+    ("cof_extends", (fun t -> t.cof_extends), fun t v -> t.cof_extends <- v);
+    ("cof_fresh", (fun t -> t.cof_fresh), fun t v -> t.cof_fresh <- v);
+    ("restricts", (fun t -> t.restricts), fun t v -> t.restricts <- v);
+    ("retains", (fun t -> t.retains), fun t v -> t.retains <- v);
+    ("evicted", (fun t -> t.evicted), fun t v -> t.evicted <- v);
+    ("budget_checks", (fun t -> t.budget_checks), fun t v -> t.budget_checks <- v);
+    ("sem_nodes", (fun t -> t.sem_nodes), fun t v -> t.sem_nodes <- v);
+    ("sem_truncations", (fun t -> t.sem_truncations), fun t v -> t.sem_truncations <- v);
+    ("sat_calls", (fun t -> t.sat_calls), fun t v -> t.sat_calls <- v);
+    ("sat_conflicts", (fun t -> t.sat_conflicts), fun t v -> t.sat_conflicts <- v);
+    ("windows_built", (fun t -> t.windows_built), fun t v -> t.windows_built <- v);
+    ("df_iterations", (fun t -> t.df_iterations), fun t v -> t.df_iterations <- v);
+    ("df_facts", (fun t -> t.df_facts), fun t v -> t.df_facts <- v);
+    ("screened_out", (fun t -> t.screened_out), fun t v -> t.screened_out <- v);
+  ]
 
 let add_degradation t ~stage ~reason ~where =
   t.degradations <- (stage, reason, where) :: t.degradations
@@ -114,7 +87,22 @@ let add_phase t name dt =
 
 let phase_time t name = Option.value ~default:0.0 (Hashtbl.find_opt t.phases name)
 
-let score_misses t = t.score_calls - t.score_hits
+let merge ~into s =
+  List.iter (fun (_, get, set) -> set into (get into + get s)) counter_fields;
+  (* both lists are newest-first; keep the merged one newest-first too *)
+  into.degradations <- s.degradations @ into.degradations;
+  into.findings <- s.findings @ into.findings;
+  Hashtbl.iter (add_phase into) s.phases
+
+let add_coverage t (c : Semantics.coverage) =
+  t.sem_nodes <- t.sem_nodes + c.exact_nodes + c.windowed_nodes;
+  if c.truncated_nodes > 0 then t.sem_truncations <- t.sem_truncations + 1;
+  t.sat_calls <- t.sat_calls + c.sat_calls;
+  t.sat_conflicts <- t.sat_conflicts + c.sat_conflicts;
+  t.windows_built <- t.windows_built + c.windows_built;
+  t.df_iterations <- t.df_iterations + c.df_iterations;
+  t.df_facts <- t.df_facts + c.df_facts;
+  t.screened_out <- t.screened_out + c.screened_out
 
 let score_hit_rate t =
   if t.score_calls = 0 then 0.0
@@ -145,30 +133,6 @@ let mark ck name =
    bench-report tests pin down.  Unknown fields are ignored and
    missing counters default to zero, so a newer reader accepts an
    older run object. *)
-
-let counter_fields =
-  (* name, getter, setter — one list drives to_json, of_json and the
-     bench diff's notion of "every counter". *)
-  [
-    ("score_calls", (fun t -> t.score_calls), fun t v -> t.score_calls <- v);
-    ("score_hits", (fun t -> t.score_hits), fun t v -> t.score_hits <- v);
-    ("cof_lookups", (fun t -> t.cof_lookups), fun t v -> t.cof_lookups <- v);
-    ("cof_hits", (fun t -> t.cof_hits), fun t v -> t.cof_hits <- v);
-    ("cof_extends", (fun t -> t.cof_extends), fun t v -> t.cof_extends <- v);
-    ("cof_fresh", (fun t -> t.cof_fresh), fun t v -> t.cof_fresh <- v);
-    ("restricts", (fun t -> t.restricts), fun t v -> t.restricts <- v);
-    ("retains", (fun t -> t.retains), fun t v -> t.retains <- v);
-    ("evicted", (fun t -> t.evicted), fun t v -> t.evicted <- v);
-    ("budget_checks", (fun t -> t.budget_checks), fun t v -> t.budget_checks <- v);
-    ("sem_nodes", (fun t -> t.sem_nodes), fun t v -> t.sem_nodes <- v);
-    ("sem_truncations", (fun t -> t.sem_truncations), fun t v -> t.sem_truncations <- v);
-    ("sat_calls", (fun t -> t.sat_calls), fun t v -> t.sat_calls <- v);
-    ("sat_conflicts", (fun t -> t.sat_conflicts), fun t v -> t.sat_conflicts <- v);
-    ("windows_built", (fun t -> t.windows_built), fun t v -> t.windows_built <- v);
-    ("df_iterations", (fun t -> t.df_iterations), fun t v -> t.df_iterations <- v);
-    ("df_facts", (fun t -> t.df_facts), fun t v -> t.df_facts <- v);
-    ("screened_out", (fun t -> t.screened_out), fun t v -> t.screened_out <- v);
-  ]
 
 let counter_names = List.map (fun (name, _, _) -> name) counter_fields
 

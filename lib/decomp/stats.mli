@@ -8,7 +8,7 @@
     print it afterwards.  There is deliberately no process-global
     instance — concurrent runs in separate domains each own their stats,
     so the counters are data-race-free by construction.  Counters only
-    ever increase between resets. *)
+    ever increase. *)
 
 type t = {
   mutable score_calls : int;  (** {!Bound_select.score} invocations *)
@@ -45,19 +45,23 @@ type t = {
   mutable findings : (string * string * string) list;
       (** [--check] assertion-layer findings, newest first:
           [(severity, code, message)] — the typed findings live in the
-          driver report; these mirrors keep [Stats] free of a [Check]
-          dependency *)
+          driver report *)
   phases : (string, float) Hashtbl.t;  (** per-phase wall time, seconds *)
 }
 
 val create : unit -> t
-val reset : t -> unit
 
 val merge : into:t -> t -> unit
-(** Accumulate another run's counters, events and phase times into
-    [into] (which is unchanged otherwise).  Used by front ends that
-    aggregate per-run instances — e.g. a bench section over many runs,
-    or a batch report over many jobs. *)
+(** Accumulate another run's counters (every one in {!counter_names}),
+    events and phase times into [into] (which is unchanged otherwise).
+    Used by front ends that aggregate per-run instances — e.g. a bench
+    section over many runs, or a batch report over many jobs. *)
+
+val add_coverage : t -> Semantics.coverage -> unit
+(** Add one semantic analysis's coverage to the check-layer counters:
+    [sem_nodes] gains the exact plus windowed nodes, [sem_truncations]
+    gains 1 when any node was left uncovered, and the SAT and dataflow
+    counters gain their namesakes. *)
 
 val add_phase : t -> string -> float -> unit
 val phase_time : t -> string -> float
@@ -75,7 +79,6 @@ val add_finding : t -> severity:string -> code:string -> message:string -> unit
 val findings : t -> (string * string * string) list
 (** Findings in the order they fired, as [(severity, code, message)]. *)
 
-val score_misses : t -> int
 val score_hit_rate : t -> float
 (** Fraction of {!Bound_select.score} calls answered by the memo
     ([0.] when no calls were made). *)
@@ -105,9 +108,10 @@ val mark : clock -> string -> float
     emits the same shape, so one reader handles both. *)
 
 val counter_names : string list
-(** Field names of all integer counters, in schema order.  The bench
-    diff iterates this list, so a counter added to {!t} (and to the
-    internal field table) is gated automatically. *)
+(** Field names of all integer counters, in schema order.  {!merge},
+    the JSON projection and the bench diff iterate this list, so a
+    counter added to {!t} (and to the internal field table) is merged,
+    serialized and gated automatically. *)
 
 val counter : t -> string -> int
 (** Read a counter by its schema field name.

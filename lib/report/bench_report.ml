@@ -1,5 +1,6 @@
 (* Machine-readable bench reports.  See bench_report.mli for the
-   design rationale (stable counters gate, wall clock advises). *)
+   design rationale (deterministic cells gate exactly, wall clock is
+   only reported). *)
 
 let schema_version = 1
 
@@ -7,7 +8,6 @@ type value =
   | Int of int
   | Float of float
   | Secs of float
-  | Millis of float
   | Pct of float
   | Str of string
 
@@ -74,7 +74,6 @@ let value_to_json v =
   | Int n -> tagged "int" (Json.int n)
   | Float f -> tagged "float" (Json.Num f)
   | Secs s -> tagged "secs" (Json.Num s)
-  | Millis ms -> tagged "ms" (Json.Num ms)
   | Pct p -> tagged "pct" (Json.Num p)
   | Str s -> tagged "str" (Json.Str s)
 
@@ -89,7 +88,6 @@ let value_of_json j =
       match (tag, Json.to_float v) with
       | "float", Some f -> Ok (Float f)
       | "secs", Some s -> Ok (Secs s)
-      | "ms", Some ms -> Ok (Millis ms)
       | "pct", Some p -> Ok (Pct p)
       | _ -> Error (Printf.sprintf "unknown or mistyped cell tag %S" tag))
   | _ -> Error "cell without \"t\"/\"v\""
@@ -315,7 +313,6 @@ let value_to_string = function
   | Int n -> string_of_int n
   | Float f -> Printf.sprintf "%.2f" f
   | Secs s -> Printf.sprintf "%.3fs" s
-  | Millis ms -> Printf.sprintf "%.1fms" ms
   | Pct p -> Printf.sprintf "%.1f%%" p
   | Str s -> s
 
@@ -420,168 +417,86 @@ type delta = {
   d_section : string;
   d_run : string;
   metric : string;
-  base : float;
-  current : float;
-  change_pct : float;
+  base : float option;
+  current : float option;
 }
 
-type verdict = {
-  threshold : float;
-  regressions : delta list;
-  improvements : delta list;
-  advisories : delta list;
-  missing : string list;
-}
+type verdict = { changed : delta list; missing : string list }
 
-(* Absolute noise floors: a metric change must clear both the relative
-   threshold and this floor to count.  Quality metrics (LUT/CLB/depth)
-   have no floor — they are exactly reproducible. *)
-let floor_of = function
-  | "alloc_bytes" -> 4096.0
-  | "bdd_nodes" -> 32.0
-  | "luts" | "clbs" | "depth" -> 0.0
-  | _ -> 32.0 (* Stats counters *)
-
-let run_metrics (r : run) =
-  let opt name v = Option.map (fun n -> (name, float_of_int n)) v in
-  List.filter_map Fun.id
-    [
-      opt "luts" r.luts;
-      opt "clbs" r.clbs;
-      opt "depth" r.depth;
-      opt "bdd_nodes" r.bdd_nodes;
-      Some ("alloc_bytes", r.alloc_bytes);
-    ]
-  @ List.filter_map
-      (fun name ->
-        match Stats.counter r.stats name with
-        | 0 -> None (* counter not exercised by this workload *)
-        | n -> Some ("stats." ^ name, float_of_int n))
+(* Every gated cell of a run, in a fixed order, so two runs' cells
+   pair up by position. *)
+let cells (r : run) =
+  let count name v = (name, Option.map float_of_int v) in
+  [
+    count "luts" r.luts;
+    count "clbs" r.clbs;
+    count "depth" r.depth;
+    count "bdd_nodes" r.bdd_nodes;
+    ("alloc_bytes", Some r.alloc_bytes);
+  ]
+  @ List.map
+      (fun name -> count ("stats." ^ name) (Some (Stats.counter r.stats name)))
       Stats.counter_names
 
-let change_pct ~base ~current =
-  if base = 0.0 then if current = 0.0 then 0.0 else 100.0
-  else (current -. base) /. base *. 100.0
-
-let diff ~base ~current ~max_regress =
-  let regressions = ref [] in
-  let improvements = ref [] in
-  let advisories = ref [] in
+let diff ~base ~current =
+  let changed = ref [] in
   let missing = ref [] in
-  let delta d_section d_run metric b c =
-    { d_section; d_run; metric; base = b; current = c;
-      change_pct = change_pct ~base:b ~current:c }
-  in
-  let find_section name =
-    List.find_opt (fun s -> s.name = name) current.sections
-  in
-  let find_run sec (r : run) =
-    List.find_opt
-      (fun (r' : run) -> r'.name = r.name && r'.algorithm = r.algorithm)
-      sec.runs
-  in
   let run_key (r : run) =
     if r.algorithm = "" then r.name else r.name ^ "/" ^ r.algorithm
   in
   List.iter
     (fun bsec ->
-      match find_section bsec.name with
+      match List.find_opt (fun s -> s.name = bsec.name) current.sections with
       | None -> missing := Printf.sprintf "section %s" bsec.name :: !missing
       | Some csec ->
           List.iter
-            (fun brun ->
-              match find_run csec brun with
+            (fun (brun : run) ->
+              match
+                List.find_opt
+                  (fun (r : run) ->
+                    r.name = brun.name && r.algorithm = brun.algorithm)
+                  csec.runs
+              with
               | None ->
                   missing :=
                     Printf.sprintf "run %s/%s" bsec.name (run_key brun)
                     :: !missing
-              | Some crun ->
-                  let key = run_key brun in
-                  (* wall clock: advisory both ways, never gates *)
-                  let wall_floor = 0.05 in
-                  if
-                    abs_float (crun.wall -. brun.wall) > wall_floor
-                    && abs_float
-                         (change_pct ~base:brun.wall ~current:crun.wall)
-                       > max_regress
-                  then
-                    advisories :=
-                      delta bsec.name key "wall" brun.wall crun.wall
-                      :: !advisories;
-                  if brun.stable && crun.stable then
-                    let cmetrics = run_metrics crun in
-                    List.iter
-                      (fun (metric, b) ->
-                        let c =
-                          Option.value ~default:0.0
-                            (List.assoc_opt metric cmetrics)
-                        in
-                        let pct = change_pct ~base:b ~current:c in
-                        if abs_float (c -. b) > floor_of metric then
-                          if pct > max_regress then
-                            regressions :=
-                              delta bsec.name key metric b c :: !regressions
-                          else if pct < -.max_regress then
-                            improvements :=
-                              delta bsec.name key metric b c :: !improvements)
-                      (run_metrics brun))
+              | Some crun when brun.stable && crun.stable ->
+                  List.iter2
+                    (fun (metric, b) (_, c) ->
+                      if b <> c then
+                        changed :=
+                          {
+                            d_section = bsec.name;
+                            d_run = run_key brun;
+                            metric;
+                            base = b;
+                            current = c;
+                          }
+                          :: !changed)
+                    (cells brun) (cells crun)
+              | Some _ -> ())
             bsec.runs)
     base.sections;
-  {
-    threshold = max_regress;
-    regressions = List.rev !regressions;
-    improvements = List.rev !improvements;
-    advisories = List.rev !advisories;
-    missing = List.rev !missing;
-  }
+  { changed = List.rev !changed; missing = List.rev !missing }
 
-let verdict_ok v = v.regressions = [] && v.missing = []
+let verdict_ok v = v.changed = [] && v.missing = []
 
-let pp_delta fmt d =
-  Format.fprintf fmt "%s %s %s: %g -> %g (%+.1f%%)" d.d_section d.d_run
-    d.metric d.base d.current d.change_pct
+let pp_cell fmt = function
+  | None -> Format.fprintf fmt "-"
+  | Some x -> Format.fprintf fmt "%.17g" x
 
 let pp_verdict fmt v =
   Format.fprintf fmt "@[<v>";
   List.iter
-    (fun d -> Format.fprintf fmt "REGRESSION  %a@," pp_delta d)
-    v.regressions;
-  List.iter (fun m -> Format.fprintf fmt "MISSING     %s@," m) v.missing;
-  List.iter
-    (fun d -> Format.fprintf fmt "improvement %a@," pp_delta d)
-    v.improvements;
-  List.iter
-    (fun d -> Format.fprintf fmt "wall (advisory) %a@," pp_delta d)
-    v.advisories;
+    (fun d ->
+      Format.fprintf fmt "CHANGED  %s %s %s: %a -> %a@," d.d_section d.d_run
+        d.metric pp_cell d.base pp_cell d.current)
+    v.changed;
+  List.iter (fun m -> Format.fprintf fmt "MISSING  %s@," m) v.missing;
   if verdict_ok v then
-    Format.fprintf fmt
-      "OK: no stable-counter or quality regression beyond %.0f%%" v.threshold
+    Format.fprintf fmt "OK: every deterministic cell equals the baseline"
   else
-    Format.fprintf fmt "FAIL: %d regression(s), %d missing (threshold %.0f%%)"
-      (List.length v.regressions)
-      (List.length v.missing)
-      v.threshold;
+    Format.fprintf fmt "FAIL: %d changed cell(s), %d missing"
+      (List.length v.changed) (List.length v.missing);
   Format.fprintf fmt "@]"
-
-let delta_to_json d =
-  Json.Obj
-    [
-      ("section", Json.Str d.d_section);
-      ("run", Json.Str d.d_run);
-      ("metric", Json.Str d.metric);
-      ("base", Json.Num d.base);
-      ("current", Json.Num d.current);
-      ("change_pct", Json.Num d.change_pct);
-    ]
-
-let verdict_to_json v =
-  Json.Obj
-    [
-      ("bench_schema", Json.int schema_version);
-      ("ok", Json.Bool (verdict_ok v));
-      ("threshold_pct", Json.Num v.threshold);
-      ("regressions", Json.Arr (List.map delta_to_json v.regressions));
-      ("improvements", Json.Arr (List.map delta_to_json v.improvements));
-      ("advisories", Json.Arr (List.map delta_to_json v.advisories));
-      ("missing", str_list v.missing);
-    ]

@@ -1,12 +1,13 @@
 (** Machine-readable bench reports ([BENCH_*.json]): one schema shared
     by the bench harness, [mfd run --json] and the CI perf gate.
 
-    The design premise is that on the single-core container wall-clock
-    time is too noisy to gate on, while the engine's own counters
-    ({!Stats}), [Gc.allocated_bytes] and the LUT/CLB quality numbers
-    are deterministic for a fixed input.  A report therefore carries
-    both kinds of data but {!diff} only *gates* on the deterministic
-    ("stable") metrics; wall-clock changes are reported as advisories.
+    The design premise is that wall-clock time is too noisy to gate on,
+    while the engine's own counters ({!Stats}), [Gc.allocated_bytes]
+    and the LUT/CLB quality numbers are deterministic for a fixed
+    input.  A report therefore carries both kinds of data, but {!diff}
+    only compares the deterministic ("stable") cells, and it compares
+    them for exact equality; wall time is reported and rendered, never
+    compared.
 
     Every emitter stamps {!schema_version} under the key
     ["bench_schema"]; {!of_json} checks it before anything else, so a
@@ -24,7 +25,6 @@ type value =
   | Int of int
   | Float of float
   | Secs of float  (** duration, rendered as seconds *)
-  | Millis of float  (** duration, rendered as milliseconds *)
   | Pct of float  (** ratio in percent, [12.5] renders as [12.5%] *)
   | Str of string
 
@@ -36,7 +36,7 @@ type run = {
   stable : bool;
       (** [false] exempts this run from gating — set for runs whose
           counters depend on elapsed time (timeout-governed, threaded) *)
-  wall : float;  (** monotonic wall time, seconds — advisory only *)
+  wall : float;  (** monotonic wall time, seconds — never gated *)
   alloc_bytes : float;
       (** [Gc.allocated_bytes] delta — the stable stand-in for time *)
   luts : int option;
@@ -132,34 +132,33 @@ val markdown : report -> string
 type delta = {
   d_section : string;
   d_run : string;  (** ["name/algorithm"] *)
-  metric : string;
-  base : float;
-  current : float;
-  change_pct : float;  (** signed; positive means the metric grew *)
+  metric : string;  (** e.g. ["luts"], ["alloc_bytes"], ["stats.restricts"] *)
+  base : float option;  (** [None] when the run lacks the cell *)
+  current : float option;
 }
 
 type verdict = {
-  threshold : float;  (** the [max_regress] percentage used *)
-  regressions : delta list;
-      (** stable metrics that grew beyond threshold + noise floor *)
-  improvements : delta list;
-      (** stable metrics that shrank beyond the same margin *)
-  advisories : delta list;
-      (** wall-clock changes (either direction) — never gate *)
+  changed : delta list;
+      (** cells of stable runs that differ from the baseline, in either
+          direction *)
   missing : string list;
       (** sections/runs present in base but absent in current: coverage
-          loss is a regression *)
+          loss fails the gate too *)
 }
 
-val diff : base:report -> current:report -> max_regress:float -> verdict
-(** Match runs by (section name, run name, algorithm).  Gate on LUT and
-    CLB counts, [alloc_bytes], [bdd_nodes] and every {!Stats} counter
-    ({!Stats.counter_names}); each metric has an absolute noise floor
-    so a ±1 blip on a tiny counter cannot fail CI.  Runs with
-    [stable = false] only produce advisories. *)
+val diff : base:report -> current:report -> verdict
+(** Match runs by (section name, run name, algorithm).  For every run
+    that is [stable] on both sides, the LUT, CLB, depth and BDD-node
+    counts, [alloc_bytes] and every {!Stats} counter
+    ({!Stats.counter_names}, zeros included) must equal the baseline;
+    any difference is a {!verdict.changed} cell.  There is no tolerance
+    and no direction: a cell that moves on purpose is recorded by
+    committing a regenerated baseline.  Runs with [stable = false] and
+    wall times are never compared. *)
 
 val verdict_ok : verdict -> bool
-(** [true] iff no regressions and no missing coverage. *)
+(** [true] iff no cell changed and no coverage is missing. *)
 
 val pp_verdict : Format.formatter -> verdict -> unit
-val verdict_to_json : verdict -> Json.t
+(** One [CHANGED section run metric: base -> current] or [MISSING]
+    line per entry, then an [OK] or [FAIL] summary line. *)

@@ -1,5 +1,6 @@
 (* Bench_report: schema round trip, baseline diffing, schema-version
-   gating, and the Stats JSON projection the bench schema embeds. *)
+   gating, and the Stats JSON projection and merge the bench relies
+   on. *)
 
 module R = Bench_report
 
@@ -37,7 +38,7 @@ let mk_section ?(name = "table1") ?(runs = [ mk_run () ]) () =
     R.name;
     title = "Table 1";
     command = "dune exec bench/main.exe -- table1";
-    columns = [ "circuit"; "clbs"; "gain"; "time"; "note"; "ratio"; "lat" ];
+    columns = [ "circuit"; "clbs"; "gain"; "time"; "note"; "ratio" ];
     rows =
       [
         {
@@ -49,7 +50,6 @@ let mk_section ?(name = "table1") ?(runs = [ mk_run () ]) () =
               ("time", R.Secs 0.125);
               ("note", R.Str "a|b");
               ("ratio", R.Float 1.5);
-              ("lat", R.Millis 3.25);
             ];
         };
       ];
@@ -86,7 +86,7 @@ let test_roundtrip () =
           let s = List.hd r'.R.sections in
           Alcotest.(check (list string))
             "columns survive"
-            [ "circuit"; "clbs"; "gain"; "time"; "note"; "ratio"; "lat" ]
+            [ "circuit"; "clbs"; "gain"; "time"; "note"; "ratio" ]
             s.R.columns;
           let run = List.hd s.R.runs in
           Alcotest.(check (option int)) "luts survive" (Some 6) run.R.luts;
@@ -128,6 +128,84 @@ let test_stats_json_matches_schema () =
         Alcotest.failf "field %s missing from Stats.to_json" key)
     [ "phases"; "degradations"; "findings" ]
 
+(* Every counter gets its own value, so a counter that [merge] skipped
+   or mixed up with another shows. *)
+let numbered_stats k =
+  let fields =
+    List.mapi (fun i name -> (name, Json.int ((i + 1) * k))) Stats.counter_names
+  in
+  match Stats.of_json (Json.Obj fields) with
+  | Ok s -> s
+  | Error msg -> Alcotest.failf "stats of_json failed: %s" msg
+
+let test_stats_merge () =
+  let into = numbered_stats 1 and s = numbered_stats 100 in
+  Stats.add_degradation into ~stage:"a" ~reason:"nodes" ~where:"step";
+  Stats.add_degradation s ~stage:"b" ~reason:"nodes" ~where:"step";
+  Stats.add_degradation s ~stage:"c" ~reason:"deadline" ~where:"step";
+  Stats.add_finding into ~severity:"info" ~code:"X1" ~message:"first";
+  Stats.add_finding s ~severity:"warning" ~code:"X2" ~message:"second";
+  Stats.add_phase into "symmetry" 0.25;
+  Stats.add_phase s "symmetry" 0.5;
+  Stats.add_phase s "step" 0.125;
+  Stats.merge ~into s;
+  List.iteri
+    (fun i name ->
+      Alcotest.(check int) (name ^ " summed") ((i + 1) * 101)
+        (Stats.counter into name);
+      Alcotest.(check int) (name ^ " of the source unchanged") ((i + 1) * 100)
+        (Stats.counter s name))
+    Stats.counter_names;
+  Alcotest.(check (list string))
+    "degradations keep firing order" [ "a"; "b"; "c" ]
+    (List.map (fun (stage, _, _) -> stage) (Stats.degradations into));
+  Alcotest.(check (list string))
+    "findings keep firing order" [ "X1"; "X2" ]
+    (List.map (fun (_, code, _) -> code) (Stats.findings into));
+  Alcotest.(check (float 0.0))
+    "shared phase summed" 0.75
+    (Stats.phase_time into "symmetry");
+  Alcotest.(check (float 0.0)) "new phase added" 0.125
+    (Stats.phase_time into "step")
+
+let test_stats_add_coverage () =
+  let coverage ~truncated =
+    {
+      Semantics.exact_nodes = 5;
+      windowed_nodes = 3;
+      truncated_nodes = truncated;
+      total_nodes = 8 + truncated;
+      sat_calls = 11;
+      sat_conflicts = 13;
+      windows_built = 17;
+      dataflow_nodes = 19;
+      df_iterations = 23;
+      df_facts = 29;
+      screened_out = 31;
+      wall_dataflow = 0.5;
+      wall_exact = 0.5;
+      wall_sat = 0.5;
+    }
+  in
+  let s = Stats.create () in
+  Stats.add_coverage s (coverage ~truncated:0);
+  Stats.add_coverage s (coverage ~truncated:2);
+  List.iter
+    (fun (name, expected) ->
+      Alcotest.(check int) name expected (Stats.counter s name))
+    [
+      ("sem_nodes", 16);
+      ("sem_truncations", 1);
+      ("sat_calls", 22);
+      ("sat_conflicts", 26);
+      ("windows_built", 34);
+      ("df_iterations", 46);
+      ("df_facts", 58);
+      ("screened_out", 62);
+      ("score_calls", 0);
+      ("budget_checks", 0);
+    ]
+
 (* ---- schema-version gating ---- *)
 
 let test_schema_mismatch () =
@@ -151,10 +229,9 @@ let test_schema_mismatch () =
 
 let test_diff_identical () =
   let r = mk_report () in
-  let v = R.diff ~base:r ~current:r ~max_regress:10.0 in
+  let v = R.diff ~base:r ~current:r in
   Alcotest.(check bool) "identical pair passes" true (R.verdict_ok v);
-  Alcotest.(check int) "no regressions" 0 (List.length v.R.regressions);
-  Alcotest.(check int) "no advisories" 0 (List.length v.R.advisories);
+  Alcotest.(check int) "no changed cells" 0 (List.length v.R.changed);
   Alcotest.(check int) "no missing" 0 (List.length v.R.missing)
 
 let test_diff_regression () =
@@ -162,15 +239,16 @@ let test_diff_regression () =
   let current =
     mk_report ~sections:[ mk_section ~runs:[ mk_run ~luts:(Some 9) () ] () ] ()
   in
-  let v = R.diff ~base ~current ~max_regress:10.0 in
+  let v = R.diff ~base ~current in
   Alcotest.(check bool) "regression fails the gate" false (R.verdict_ok v);
   match
-    List.find_opt (fun d -> d.R.metric = "luts") v.R.regressions
+    List.find_opt (fun d -> d.R.metric = "luts") v.R.changed
   with
   | None -> Alcotest.fail "lut regression not detected"
   | Some d ->
-      Alcotest.(check (float 1e-6)) "base luts" 6.0 d.R.base;
-      Alcotest.(check (float 1e-6)) "current luts" 9.0 d.R.current
+      Alcotest.(check (option (float 1e-6))) "base luts" (Some 6.0) d.R.base;
+      Alcotest.(check (option (float 1e-6)))
+        "current luts" (Some 9.0) d.R.current
 
 let test_diff_counter_regression () =
   let worse = mk_stats () in
@@ -181,10 +259,10 @@ let test_diff_counter_regression () =
       ~sections:[ mk_section ~runs:[ mk_run ~stats:worse () ] () ]
       ()
   in
-  let v = R.diff ~base ~current ~max_regress:10.0 in
+  let v = R.diff ~base ~current in
   Alcotest.(check bool)
     "counter regression detected" true
-    (List.exists (fun d -> d.R.metric = "stats.restricts") v.R.regressions);
+    (List.exists (fun d -> d.R.metric = "stats.restricts") v.R.changed);
   (* the same change on an unstable run must not gate *)
   let base_unstable =
     mk_report ~sections:[ mk_section ~runs:[ mk_run ~stable:false () ] () ] ()
@@ -195,32 +273,36 @@ let test_diff_counter_regression () =
         [ mk_section ~runs:[ mk_run ~stable:false ~stats:worse () ] () ]
       ()
   in
-  let v' = R.diff ~base:base_unstable ~current:current_unstable ~max_regress:10.0 in
+  let v' = R.diff ~base:base_unstable ~current:current_unstable in
   Alcotest.(check bool) "unstable runs never gate" true (R.verdict_ok v')
 
-let test_diff_noise_floor () =
-  (* +1 on a counter is > 10% of a tiny base but below the absolute
-     floor: must not gate *)
-  let small base_v cur_v =
-    let s = Stats.create () in
-    s.Stats.restricts <- base_v;
-    let s' = Stats.create () in
-    s'.Stats.restricts <- cur_v;
-    ( mk_report
-        ~sections:
-          [ mk_section ~runs:[ mk_run ~alloc:0.0 ~stats:s () ] () ]
-        (),
-      mk_report
-        ~sections:
-          [ mk_section ~runs:[ mk_run ~alloc:0.0 ~stats:s' () ] () ]
-        () )
+(* Reports whose one run differs from the base only in [restricts]:
+   [base_v] in the base, [cur_v] now. *)
+let restricts_pair base_v cur_v =
+  let with_restricts n =
+    let s = mk_stats () in
+    s.Stats.restricts <- n;
+    mk_report ~sections:[ mk_section ~runs:[ mk_run ~stats:s () ] () ] ()
   in
-  let base, current = small 8 9 in
-  let v = R.diff ~base ~current ~max_regress:10.0 in
-  Alcotest.(check bool) "+1 under the floor passes" true (R.verdict_ok v);
-  let base, current = small 100 200 in
-  let v = R.diff ~base ~current ~max_regress:10.0 in
-  Alcotest.(check bool) "x2 over the floor fails" false (R.verdict_ok v)
+  (with_restricts base_v, with_restricts cur_v)
+
+let check_one_change what (base, current) =
+  let v = R.diff ~base ~current in
+  Alcotest.(check bool) (what ^ " fails the gate") false (R.verdict_ok v);
+  Alcotest.(check (list string))
+    (what ^ " lists exactly that cell")
+    [ "table1 rd73/mulop-dc stats.restricts" ]
+    (List.map
+       (fun d -> String.concat " " [ d.R.d_section; d.R.d_run; d.R.metric ])
+       v.R.changed)
+
+let test_diff_zero_to_one () =
+  (* the counter the old gate never compared: 0 in the base *)
+  check_one_change "0 -> 1" (restricts_pair 0 1)
+
+let test_diff_one_count () =
+  check_one_change "+1" (restricts_pair 1000 1001);
+  check_one_change "-1" (restricts_pair 1000 999)
 
 let test_diff_missing () =
   let base =
@@ -229,7 +311,7 @@ let test_diff_missing () =
       ()
   in
   let current = mk_report ~sections:[ mk_section () ] () in
-  let v = R.diff ~base ~current ~max_regress:10.0 in
+  let v = R.diff ~base ~current in
   Alcotest.(check bool) "coverage loss fails the gate" false (R.verdict_ok v);
   Alcotest.(check (list string))
     "missing section named" [ "section table2" ] v.R.missing;
@@ -240,43 +322,29 @@ let test_diff_missing () =
         [ mk_section ~runs:[ mk_run (); mk_run ~name:"rd84" () ] () ]
       ()
   in
-  let v' = R.diff ~base:base' ~current ~max_regress:10.0 in
+  let v' = R.diff ~base:base' ~current in
   Alcotest.(check (list string))
     "missing run named" [ "run table1/rd84/mulop-dc" ] v'.R.missing
 
-let test_diff_improvement_and_advisory () =
+let test_diff_lut_drop () =
+  (* the gate has no direction: an improvement moves a cell too *)
   let base = mk_report () in
   let current =
     mk_report ~sections:[ mk_section ~runs:[ mk_run ~luts:(Some 3) () ] () ] ()
   in
-  let v = R.diff ~base ~current ~max_regress:10.0 in
-  Alcotest.(check bool) "improvement still passes" true (R.verdict_ok v);
-  Alcotest.(check bool)
-    "improvement recorded" true
-    (List.exists (fun d -> d.R.metric = "luts") v.R.improvements);
-  (* wall-clock changes are advisory, never regressions *)
-  let slow = { (mk_run ()) with R.wall = 10.0 } in
-  let current' = mk_report ~sections:[ mk_section ~runs:[ slow ] () ] () in
-  let v' = R.diff ~base ~current:current' ~max_regress:10.0 in
-  Alcotest.(check bool) "slow wall still passes" true (R.verdict_ok v');
-  Alcotest.(check bool)
-    "slow wall advised" true
-    (List.exists (fun d -> d.R.metric = "wall") v'.R.advisories)
+  let v = R.diff ~base ~current in
+  Alcotest.(check bool) "a LUT drop fails" false (R.verdict_ok v);
+  Alcotest.(check (list string))
+    "the drop is listed" [ "luts" ]
+    (List.map (fun d -> d.R.metric) v.R.changed)
 
-let test_verdict_json () =
+let test_diff_wall_only () =
   let base = mk_report () in
-  let current =
-    mk_report ~sections:[ mk_section ~runs:[ mk_run ~luts:(Some 9) () ] () ] ()
-  in
-  let v = R.diff ~base ~current ~max_regress:10.0 in
-  let j = R.verdict_to_json v in
-  Alcotest.(check (option bool)) "ok field" (Some false) (Json.mem_bool "ok" j);
-  Alcotest.(check (option int))
-    "verdict carries schema" (Some R.schema_version)
-    (Json.mem_int "bench_schema" j);
-  match Json.member "regressions" j with
-  | Some (Json.Arr (_ :: _)) -> ()
-  | _ -> Alcotest.fail "regressions array empty or missing"
+  let slow = { (mk_run ()) with R.wall = 10.0 } in
+  let current = mk_report ~sections:[ mk_section ~runs:[ slow ] () ] () in
+  let v = R.diff ~base ~current in
+  Alcotest.(check bool) "slow wall passes" true (R.verdict_ok v);
+  Alcotest.(check int) "nothing listed" 0 (List.length v.R.changed)
 
 (* ---- rendering and files ---- *)
 
@@ -335,6 +403,8 @@ let suite =
     Alcotest.test_case "stats round trip" `Quick test_stats_roundtrip;
     Alcotest.test_case "stats JSON matches bench schema" `Quick
       test_stats_json_matches_schema;
+    Alcotest.test_case "stats merge sums every counter" `Quick test_stats_merge;
+    Alcotest.test_case "stats add_coverage" `Quick test_stats_add_coverage;
     Alcotest.test_case "schema-version mismatch is a clean error" `Quick
       test_schema_mismatch;
     Alcotest.test_case "diff: identical pair passes" `Quick test_diff_identical;
@@ -342,11 +412,14 @@ let suite =
       test_diff_regression;
     Alcotest.test_case "diff: counter regression, unstable exemption" `Quick
       test_diff_counter_regression;
-    Alcotest.test_case "diff: absolute noise floor" `Quick test_diff_noise_floor;
+    Alcotest.test_case "diff: a counter leaving zero fails" `Quick
+      test_diff_zero_to_one;
+    Alcotest.test_case "diff: one count up or down fails" `Quick
+      test_diff_one_count;
     Alcotest.test_case "diff: missing coverage fails" `Quick test_diff_missing;
-    Alcotest.test_case "diff: improvements and wall advisories" `Quick
-      test_diff_improvement_and_advisory;
-    Alcotest.test_case "verdict JSON shape" `Quick test_verdict_json;
+    Alcotest.test_case "diff: a LUT drop fails" `Quick test_diff_lut_drop;
+    Alcotest.test_case "diff: a wall-time change passes" `Quick
+      test_diff_wall_only;
     Alcotest.test_case "markdown marks the producing command" `Quick
       test_markdown_marks_command;
     Alcotest.test_case "write and load BENCH files" `Quick test_write_load;
