@@ -1,12 +1,24 @@
 let worst = Cost.worst
 
-(* How many variables of [bound] occur in [support]. *)
-let rec overlap support acc = function
-  | [] -> acc
-  | v :: rest ->
-      overlap support (if List.mem v support then acc + 1 else acc) rest
+(* [bound inter support] by one merge of the two ascending lists.  A
+   suffix of [bound] that [support] contains entirely is shared, so a
+   [bound] inside [support] comes back as the same physical list, which
+   [Classes.refine] reads without a projection. *)
+let rec inter (bound : int list) support =
+  match (bound, support) with
+  | [], _ | _, [] -> []
+  | b :: bs, s :: ss ->
+      if b < s then inter bs support
+      else if s < b then inter bound ss
+      else
+        let rest = inter bs ss in
+        if rest == bs then bound else b :: rest
 
-(* [supports] holds [Isf.support] of each ISF, in order. *)
+(* [supports] holds [Isf.support] of each ISF, in order.  Each ISF is
+   cofactored over [bound inter supp f] only: fixing a variable outside
+   its support leaves every cofactor the same node, so the vector over
+   the intersection, read through the projection, gives exactly the
+   classes of the vector over [bound]. *)
 let score_against ?cache ?stats ?(lut_size = max_int) ?(cost = Cost.area) m
     isfs supports bound =
   let stats =
@@ -18,7 +30,7 @@ let score_against ?cache ?stats ?(lut_size = max_int) ?(cost = Cost.area) m
   let relevant =
     List.fold_right2
       (fun f support acc ->
-        match overlap support 0 bound with 0 -> acc | n -> (f, n) :: acc)
+        match inter bound support with [] -> acc | sub -> (f, sub) :: acc)
       isfs supports []
   in
   (* A bound set no ISF depends on reduces nothing: decomposing against
@@ -42,21 +54,21 @@ let score_against ?cache ?stats ?(lut_size = max_int) ?(cost = Cost.area) m
         stats.Stats.score_hits <- stats.Stats.score_hits + 1;
         s
     | None ->
-        let vector f =
+        let vector f sub =
           match cache with
-          | Some c -> Score_cache.cofactor_vector c f bound
-          | None -> Isf.cofactor_vector m f bound
+          | Some c -> Score_cache.cofactor_vector c f sub
+          | None -> Isf.cofactor_vector m f sub
         in
-        let vecs =
-          List.map (fun (f, overlap) -> (vector f, overlap)) relevant
-        in
+        let vecs = List.map (fun (f, sub) -> (sub, vector f sub)) relevant in
         (* Per-output class counts and the joint count from one
-           numbering, refined output by output. *)
-        let classes = Classes.numbering (1 lsl List.length bound) in
+           numbering, refined output by output; the overlap of an ISF
+           with the bound set is [|sub|]. *)
+        let classes = Classes.numbering bound in
         let reduction =
           List.fold_left
-            (fun acc (vec, overlap) ->
-              acc + max 0 (overlap - Bits.ceil_log2 (Classes.refine classes vec)))
+            (fun acc (sub, vec) ->
+              let own = Classes.refine classes sub vec in
+              acc + max 0 (List.length sub - Bits.ceil_log2 own))
             0 vecs
         in
         let joint = Classes.count classes in
@@ -94,6 +106,12 @@ let score_against ?cache ?stats ?(lut_size = max_int) ?(cost = Cost.area) m
   end
 
 let score ?cache ?stats ?lut_size ?cost m isfs bound =
+  let rec ascending = function
+    | [] | [ _ ] -> true
+    | a :: (b :: _ as rest) -> a < b && ascending rest
+  in
+  if not (ascending bound) then
+    invalid_arg "Bound_select.score: bound set not strictly ascending";
   (* An empty bound set never reads the supports, as [Isf.support] may
      build the off-set's nodes. *)
   let supports =

@@ -16,12 +16,16 @@ val score :
   Isf.t list ->
   int list ->
   int * int * int
-(** Candidate quality, lexicographically smaller = better.  With
-    [cache] (which must be bound to the same manager), cofactor
-    vectors and whole scores are memoized (and scores are keyed by
-    [lut_size] and the objective's {!Cost.key_of} fragment, so every
-    scoring mode can share one cache without mixing); the result is
-    identical with and without a cache.
+(** Candidate quality, lexicographically smaller = better.  The bound
+    set must be strictly ascending.  Each ISF [f] is cofactored over
+    [B inter supp f] only, and its classes over [B] are read through
+    the projection ({!Classes.refine}): fixing a variable outside
+    [supp f] changes no cofactor, so the counts are those of the full
+    vector over [B].  With [cache] (which must be bound to the same
+    manager), cofactor vectors and whole scores are memoized (and
+    scores are keyed by [lut_size] and the objective's {!Cost.key_of}
+    fragment, so every scoring mode can share one cache without
+    mixing); the result is identical with and without a cache.
     Counters land in the cache's stats when a cache is given, else in
     [stats] (else in a fresh throwaway).  A bound set that overlaps no
     ISF support scores worst-possible in every ordering — it reduces
@@ -37,7 +41,9 @@ val score :
     decomposition functions ([ceil log2] of the joint class count, times
     the LUTs each function needs given [lut_size]) — then the joint
     distinct-cofactor count; at realistic LUT sizes the communication
-    complexity [ncc(f, B)] comes first and the reduction breaks ties. *)
+    complexity [ncc(f, B)] comes first and the reduction breaks ties.
+    @raise Invalid_argument if the bound set is not strictly
+    ascending. *)
 
 val select :
   ?cache:Score_cache.t ->

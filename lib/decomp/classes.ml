@@ -15,8 +15,10 @@ let nvertices t = Array.length t.node_of_vertex
    - [own]: a vertex's class within the current vector;
    - [ids]: its class within all vectors refined so far;
    - [slot]: the table, class id + 1 per slot (0 = empty);
-   - [rep]: the first vertex of every class. *)
+   - [rep]: the first vertex of every class;
+   - [proj]: a vertex's index into a vector over a subset of [bound]. *)
 type numbering = {
+  mutable bound : int list;
   mutable n : int;
   mutable count : int;
   mutable ka : int array;
@@ -25,11 +27,13 @@ type numbering = {
   mutable ids : int array;
   mutable rep : int array;
   mutable slot : int array;
+  mutable proj : int array;
 }
 
 let scratch =
   Domain.DLS.new_key (fun () ->
       {
+        bound = [];
         n = 0;
         count = 0;
         ka = [||];
@@ -38,9 +42,11 @@ let scratch =
         ids = [||];
         rep = [||];
         slot = [||];
+        proj = [||];
       })
 
-let numbering n =
+let numbering bound =
+  let n = 1 lsl List.length bound in
   let s = Domain.DLS.get scratch in
   if Array.length s.ids < n then begin
     s.ka <- Array.make n 0;
@@ -48,8 +54,10 @@ let numbering n =
     s.own <- Array.make n 0;
     s.ids <- Array.make n 0;
     s.rep <- Array.make n 0;
-    s.slot <- Array.make (4 * n) 0
+    s.slot <- Array.make (4 * n) 0;
+    s.proj <- Array.make n 0
   end;
+  s.bound <- bound;
   s.n <- n;
   s.count <- min n 1;
   Array.fill s.ids 0 n 0;
@@ -85,12 +93,51 @@ let number s into =
   done;
   !count
 
-let refine s vec =
+(* [proj.(v)] becomes vertex [v]'s bits for the variables of [sub], in
+   [sub]'s order: its index into a vector over [sub].  The table doubles
+   once per bound variable, most significant first, in place. *)
+let project s sub =
+  s.proj.(0) <- 0;
+  let rec go len bound sub =
+    match bound with
+    | [] -> (
+        match sub with
+        | [] -> ()
+        | _ -> invalid_arg "Classes.refine: not an ascending subset of the bound set")
+    | b :: bound ->
+        let inside, sub =
+          match sub with u :: rest when u = b -> (true, rest) | _ -> (false, sub)
+        in
+        for i = len - 1 downto 0 do
+          let x = s.proj.(i) in
+          if inside then begin
+            s.proj.(2 * i) <- 2 * x;
+            s.proj.((2 * i) + 1) <- (2 * x) + 1
+          end
+          else begin
+            s.proj.(2 * i) <- x;
+            s.proj.((2 * i) + 1) <- x
+          end
+        done;
+        go (2 * len) bound sub
+  in
+  go 1 s.bound sub
+
+let refine s sub vec =
   let n = s.n in
-  for v = 0 to n - 1 do
-    s.ka.(v) <- Bdd.id (Isf.on vec.(v));
-    s.kb.(v) <- Bdd.id (Isf.dc vec.(v))
-  done;
+  if sub == s.bound then
+    for v = 0 to n - 1 do
+      s.ka.(v) <- Bdd.id (Isf.on vec.(v));
+      s.kb.(v) <- Bdd.id (Isf.dc vec.(v))
+    done
+  else begin
+    project s sub;
+    for v = 0 to n - 1 do
+      let f = vec.(s.proj.(v)) in
+      s.ka.(v) <- Bdd.id (Isf.on f);
+      s.kb.(v) <- Bdd.id (Isf.dc f)
+    done
+  end;
   let own = number s s.own in
   if s.count <= 1 then begin
     Array.blit s.own 0 s.ids 0 n;
@@ -104,6 +151,7 @@ let refine s vec =
   own
 
 let count s = s.count
+let ids s = Array.sub s.ids 0 s.n
 
 let cofactor_matrix m isfs bound =
   let rec ascending = function
@@ -115,10 +163,9 @@ let cofactor_matrix m isfs bound =
   let isfs = Array.of_list isfs in
   let nitems = Array.length isfs in
   let vecs = Array.map (fun f -> Isf.cofactor_vector m f bound) isfs in
-  let nverts = 1 lsl List.length bound in
-  let s = numbering nverts in
-  Array.iter (fun vec -> ignore (refine s vec)) vecs;
-  let node_of_vertex = Array.sub s.ids 0 nverts in
+  let s = numbering bound in
+  Array.iter (fun vec -> ignore (refine s bound vec)) vecs;
+  let node_of_vertex = ids s in
   let node_cof =
     Array.init s.count (fun node ->
         let v = s.rep.(node) in

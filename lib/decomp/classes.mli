@@ -36,18 +36,31 @@ val nvertices : t -> int
 
 type numbering
 
-val numbering : int -> numbering
-(** [numbering n]: all of the vertices [0 .. n-1] in one class.  The
-    scratch belongs to the calling domain and is reset by its next
-    [numbering]: finish with one before starting another. *)
+val numbering : int list -> numbering
+(** [numbering bound]: all of the [2^|bound|] vertices of the ascending
+    bound set in one class.  The scratch belongs to the calling domain
+    and is reset by its next [numbering]: finish with one before
+    starting another. *)
 
-val refine : numbering -> Isf.t array -> int
-(** [refine s vec] splits the classes of [s] by the cofactors [vec]
-    (length [n]) and returns the number of distinct cofactors in [vec]
-    alone — that output's class count. *)
+val refine : numbering -> int list -> Isf.t array -> int
+(** [refine s sub vec] splits the classes of [s] by the cofactors
+    [vec] of one function over [sub], an ascending subset of the bound
+    set, and returns the number of distinct cofactors in [vec] alone —
+    that output's class count.  Vertex [v] of the bound set reads the
+    entry of [vec] given by [v]'s bits for the variables of [sub]: the
+    projection.  When the function depends on no variable of the bound
+    set outside [sub], its cofactor at [v] is exactly that entry, so
+    the classes equal those of its vector over the whole bound set.
+    Passing the bound set itself (the same physical list given to
+    {!numbering}) reads [vec] vertex by vertex, with no projection.
+    @raise Invalid_argument if [sub] is not an ascending subset of the
+    bound set. *)
 
 val count : numbering -> int
 (** The joint class count over every vector refined so far. *)
+
+val ids : numbering -> int array
+(** The joint class of every vertex, in a fresh array. *)
 
 val cofactor_matrix : Bdd.manager -> Isf.t list -> int list -> t
 (** Cofactor every function w.r.t. the (ascending) bound set and

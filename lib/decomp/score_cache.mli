@@ -33,7 +33,10 @@ val cofactor_vector : t -> Isf.t -> int list -> Isf.t array
     miss the vector is built by {!Isf.extend_cofactor_vector} from the
     nearest cached subset (every intermediate prefix is cached too), so
     growing searches pay one variable's worth of restricts per new
-    candidate instead of a full recomputation. *)
+    candidate instead of a full recomputation.  [Bound_select] asks
+    for each ISF's vector over [B inter supp f], not over [B], so
+    candidates that differ only outside an ISF's support share that
+    ISF's vector. *)
 
 type score_key
 

@@ -122,8 +122,67 @@ let gen_bound =
   let vars = List.filter (fun v -> (mask lsr v) land 1 = 1) (List.init 9 Fun.id) in
   List.filteri (fun i _ -> i < cut) vars
 
+(* An ISF on 0..6 whose on-set reads only the variables of one random
+   mask and whose don't cares also read those of another, so that the
+   on-set and off-set supports differ. *)
+let gen_sparse_isf =
+  let open QCheck2.Gen in
+  let* on_mask = int_bound 127 in
+  let* dc_mask = int_bound 127 in
+  let* on_bits = list_size (return 128) bool in
+  let+ dc_bits = list_size (return 128) (int_range 0 2) in
+  let on_arr = Array.of_list on_bits and dc_arr = Array.of_list dc_bits in
+  let on i = on_arr.(i land on_mask) in
+  let dc i = (not (on i)) && dc_arr.(i land dc_mask) = 0 in
+  Isf.make man ~on:(Bv.to_bdd man (Bv.of_fun 7 on)) ~dc:(Bv.to_bdd man (Bv.of_fun 7 dc))
+
+(* The vector over the whole bound set that a vector over [sub] stands
+   for: vertex [v] reads the entry at its bits for [sub]'s variables. *)
+let expand bound sub vec =
+  let p = List.length bound in
+  Array.init (1 lsl p) (fun v ->
+      List.fold_left
+        (fun idx u ->
+          let k = Option.get (List.find_index (( = ) u) bound) in
+          (2 * idx) + ((v lsr (p - 1 - k)) land 1))
+        0 sub
+      |> Array.get vec)
+
 let numbering_props =
   [
+    QCheck2.Test.make ~name:"projected refine equals refine of the expansion"
+      ~count:150
+      QCheck2.Gen.(
+        pair gen_bound
+          (list_size (int_range 1 3)
+             (pair (oneof [ gen_isf 7; gen_sparse_isf ]) (opt (int_bound 63)))))
+      (fun (bound, items) ->
+        (* [None] is the bound set itself, the same physical list;
+           a mask picks a subset, all of it included. *)
+        let items =
+          List.map
+            (fun (f, mask) ->
+              let sub =
+                match mask with
+                | None -> bound
+                | Some mask -> List.filteri (fun i _ -> (mask lsr i) land 1 = 1) bound
+              in
+              (sub, Isf.cofactor_vector man f sub))
+            items
+        in
+        let projected =
+          let s = Classes.numbering bound in
+          let owns = List.map (fun (sub, vec) -> Classes.refine s sub vec) items in
+          (owns, Classes.count s, Classes.ids s)
+        in
+        let expanded =
+          let s = Classes.numbering bound in
+          let owns =
+            List.map (fun (sub, vec) -> Classes.refine s bound (expand bound sub vec)) items
+          in
+          (owns, Classes.count s, Classes.ids s)
+        in
+        projected = expanded);
     QCheck2.Test.make ~name:"cofactor_matrix numbers nodes as the Hashtbl did"
       ~count:150
       QCheck2.Gen.(pair (list_size (int_range 1 3) (gen_isf 7)) gen_bound)
@@ -362,89 +421,6 @@ let scoring_mode_regression =
       check_bool "gate count (71 post-fix, 72 with the mode mismatch)" true
         ((Network.stats net).Network.lut_count <= 71))
 
-(* The score cache is an invisible optimization: cached and fresh
-   scores must agree exactly, in both scoring modes, including repeat
-   queries (memo hits) and growing bound sets (incremental cofactor
-   extension). *)
-let score_cache_props =
-  let bound_of_mask mask =
-    List.filter (fun v -> (mask lsr v) land 1 = 1) (List.init 6 Fun.id)
-  in
-  let gen =
-    let open QCheck2.Gen in
-    let* nouts = int_range 1 3 in
-    let* isfs = list_size (return nouts) (gen_isf 6) in
-    let* mask1 = int_range 1 62 in
-    let+ mask2 = int_range 1 62 in
-    (isfs, mask1, mask2)
-  in
-  [
-    QCheck2.Test.make ~name:"cached score equals fresh score" ~count:200 gen
-      (fun (isfs, mask1, mask2) ->
-        let stats = Stats.create () in
-        let cache = Score_cache.create ~stats man in
-        (* mask1 lor mask2 is a superset of both: scoring it last goes
-           through the incremental extension of a cached vector. *)
-        let masks = [ mask1; mask2; mask1 lor mask2 ] in
-        let agree =
-          List.for_all
-            (fun mask ->
-              let bound = bound_of_mask mask in
-              List.for_all
-                (fun lut_size ->
-                  let fresh = Bound_select.score ~lut_size man isfs bound in
-                  let c1 = Bound_select.score ~cache ~lut_size man isfs bound in
-                  let c2 = Bound_select.score ~cache ~lut_size man isfs bound in
-                  fresh = c1 && fresh = c2)
-                [ 2; 5 ])
-            masks
-        in
-        (* The same functions rebuilt from their truth tables get the
-           same nodes (hash consing), hence the same id keys: every
-           rescore is a memo hit with the original score. *)
-        let rebuilt =
-          List.map
-            (fun f ->
-              let again b = Bv.to_bdd man (Bv.of_bdd 6 b) in
-              Isf.make man ~on:(again (Isf.on f)) ~dc:(again (Isf.dc f)))
-            isfs
-        in
-        (* A bound set no ISF depends on is scored without the memo. *)
-        let memoized =
-          List.filter
-            (fun mask ->
-              List.exists
-                (fun f ->
-                  List.exists
-                    (fun v -> List.mem v (Isf.support man f))
-                    (bound_of_mask mask))
-                isfs)
-            masks
-        in
-        let hits_before = stats.Stats.score_hits in
-        agree
-        && List.for_all
-             (fun mask ->
-               let bound = bound_of_mask mask in
-               Bound_select.score ~cache ~lut_size:5 man rebuilt bound
-               = Bound_select.score ~lut_size:5 man isfs bound)
-             masks
-        && stats.Stats.score_hits - hits_before = List.length memoized);
-    QCheck2.Test.make ~name:"extend_cofactor_vector = cofactor_vector"
-      ~count:200
-      QCheck2.Gen.(pair (gen_isf 6) (pair (int_range 1 63) (int_range 0 5)))
-      (fun (f, (mask, vpos)) ->
-        let all = bound_of_mask mask in
-        (* remove one variable of the set, then extend back with it *)
-        let v = List.nth all (vpos mod List.length all) in
-        let vars = List.filter (fun u -> u <> v) all in
-        let base = Isf.cofactor_vector man f vars in
-        let extended = Isf.extend_cofactor_vector man base vars v in
-        let direct = Isf.cofactor_vector man f all in
-        Array.length extended = Array.length direct
-        && Array.for_all2 Isf.equal extended direct);
-  ]
-
 (* The Hashtbl scorer that [Bound_select.score] replaced (area cost, no
    cache), kept as the oracle: support overlap by [List.mem] over
    [Isf.support], class counts in [Hashtbl]s keyed by id pairs and by
@@ -505,19 +481,91 @@ let reference_score ~lut_size m isfs bound =
     Cost.triple Cost.area ~bound pair
   end
 
-(* An ISF on 0..6 whose on-set reads only the variables of one random
-   mask and whose don't cares also read those of another, so that the
-   on-set and off-set supports differ. *)
-let gen_sparse_isf =
-  let open QCheck2.Gen in
-  let* on_mask = int_bound 127 in
-  let* dc_mask = int_bound 127 in
-  let* on_bits = list_size (return 128) bool in
-  let+ dc_bits = list_size (return 128) (int_range 0 2) in
-  let on_arr = Array.of_list on_bits and dc_arr = Array.of_list dc_bits in
-  let on i = on_arr.(i land on_mask) in
-  let dc i = (not (on i)) && dc_arr.(i land dc_mask) = 0 in
-  Isf.make man ~on:(Bv.to_bdd man (Bv.of_fun 7 on)) ~dc:(Bv.to_bdd man (Bv.of_fun 7 dc))
+(* The score cache is an invisible optimization: cached and fresh
+   scores must agree exactly, in both scoring modes, including repeat
+   queries (memo hits) and growing bound sets (incremental cofactor
+   extension).  Sparse ISFs miss part of most bound sets, so their
+   vectors are cached and extended over the intersection alone; the
+   reference scorer cofactors over the whole bound set. *)
+let score_cache_props =
+  let bound_of_mask mask =
+    List.filter (fun v -> (mask lsr v) land 1 = 1) (List.init 6 Fun.id)
+  in
+  let gen =
+    let open QCheck2.Gen in
+    let* nouts = int_range 1 3 in
+    let* isfs = list_size (return nouts) (oneof [ gen_isf 6; gen_sparse_isf ]) in
+    let* mask1 = int_range 1 62 in
+    let+ mask2 = int_range 1 62 in
+    (isfs, mask1, mask2)
+  in
+  [
+    QCheck2.Test.make ~name:"cached score equals fresh score" ~count:200 gen
+      (fun (isfs, mask1, mask2) ->
+        let stats = Stats.create () in
+        let cache = Score_cache.create ~stats man in
+        (* mask1 lor mask2 is a superset of both: scoring it last goes
+           through the incremental extension of a cached vector. *)
+        let masks = [ mask1; mask2; mask1 lor mask2 ] in
+        let agree =
+          List.for_all
+            (fun mask ->
+              let bound = bound_of_mask mask in
+              List.for_all
+                (fun lut_size ->
+                  let fresh = Bound_select.score ~lut_size man isfs bound in
+                  let c1 = Bound_select.score ~cache ~lut_size man isfs bound in
+                  let c2 = Bound_select.score ~cache ~lut_size man isfs bound in
+                  fresh = c1 && fresh = c2
+                  && fresh = reference_score ~lut_size man isfs bound)
+                [ 2; 5 ])
+            masks
+        in
+        (* The same functions rebuilt from their truth tables get the
+           same nodes (hash consing), hence the same id keys: every
+           rescore is a memo hit with the original score. *)
+        let rebuilt =
+          List.map
+            (fun f ->
+              let again b = Bv.to_bdd man (Bv.of_bdd 7 b) in
+              Isf.make man ~on:(again (Isf.on f)) ~dc:(again (Isf.dc f)))
+            isfs
+        in
+        (* A bound set no ISF depends on is scored without the memo. *)
+        let memoized =
+          List.filter
+            (fun mask ->
+              List.exists
+                (fun f ->
+                  List.exists
+                    (fun v -> List.mem v (Isf.support man f))
+                    (bound_of_mask mask))
+                isfs)
+            masks
+        in
+        let hits_before = stats.Stats.score_hits in
+        agree
+        && List.for_all
+             (fun mask ->
+               let bound = bound_of_mask mask in
+               Bound_select.score ~cache ~lut_size:5 man rebuilt bound
+               = Bound_select.score ~lut_size:5 man isfs bound)
+             masks
+        && stats.Stats.score_hits - hits_before = List.length memoized);
+    QCheck2.Test.make ~name:"extend_cofactor_vector = cofactor_vector"
+      ~count:200
+      QCheck2.Gen.(pair (gen_isf 6) (pair (int_range 1 63) (int_range 0 5)))
+      (fun (f, (mask, vpos)) ->
+        let all = bound_of_mask mask in
+        (* remove one variable of the set, then extend back with it *)
+        let v = List.nth all (vpos mod List.length all) in
+        let vars = List.filter (fun u -> u <> v) all in
+        let base = Isf.cofactor_vector man f vars in
+        let extended = Isf.extend_cofactor_vector man base vars v in
+        let direct = Isf.cofactor_vector man f all in
+        Array.length extended = Array.length direct
+        && Array.for_all2 Isf.equal extended direct);
+  ]
 
 let score_reference_props =
   [
@@ -586,6 +634,31 @@ let bound_select_tests =
               (Printf.sprintf "genuine beats vacuous at lut size %d" lut_size)
               true (genuine < vacuous))
           [ 2; 3; 4; 5 ]);
+    Alcotest.test_case "a variable outside the support costs no restricts"
+      `Quick (fun () ->
+        let x0 = Bdd.var man 0 and x1 = Bdd.var man 1 and x2 = Bdd.var man 2 in
+        let f = Isf.of_csf man (Bdd.and_ man x0 (Bdd.or_ man x1 x2)) in
+        let stats = Stats.create () in
+        let cache = Score_cache.create ~stats man in
+        let score bound = Bound_select.score ~cache ~lut_size:5 man [ f ] bound in
+        let scored = score [ 0; 1 ] in
+        let restricts = stats.Stats.restricts and hits = stats.Stats.cof_hits in
+        (* x5 is outside supp f: the vector over [0; 1] serves [0; 1; 5]. *)
+        check_bool "same score" true (score [ 0; 1; 5 ] = scored);
+        check_int "no restricts" restricts stats.Stats.restricts;
+        check_int "one vector hit" (hits + 1) stats.Stats.cof_hits);
+    Alcotest.test_case "score rejects a bound set that is not ascending"
+      `Quick (fun () ->
+        let f = Isf.of_csf man (Bdd.and_ man (Bdd.var man 0) (Bdd.var man 1)) in
+        List.iter
+          (fun bound ->
+            List.iter
+              (fun cache ->
+                match Bound_select.score ?cache man [ f ] bound with
+                | _ -> Alcotest.fail "expected Invalid_argument"
+                | exception Invalid_argument _ -> ())
+              [ None; Some (Score_cache.create man) ])
+          [ [ 1; 0 ]; [ 0; 0 ]; [ 0; 2; 1 ] ]);
     Alcotest.test_case "select never picks a window outside every support"
       `Quick (fun () ->
         let x0 = Bdd.var man 0 and x1 = Bdd.var man 1 in
