@@ -21,12 +21,13 @@ type manager = {
      itself ([Zero] marks an empty slot), so a probe compares
      [(v, lo id, hi id)] read from the node and allocates nothing. *)
   mutable unique : t array;
-  (* Computed table, shared by and/or/xor/not/ite/restrict: direct-mapped
-     and lossy.  Entry [i] is keyed by the three ints
-     [keys.(3i) .. keys.(3i+2)] (operand ids, the operation code packed
-     into the first) and holds [results.(i)]; a colliding insertion
-     overwrites, and [keys.(3i) = -1] marks an empty entry.  It only
-     ever holds completed results. *)
+  (* Computed table, shared by every operation and decision:
+     direct-mapped and lossy.  Entry [i] is keyed by the three ints
+     [keys.(3i) .. keys.(3i+2)] (operand ids, the 4-bit operation code
+     packed into the first) and holds [results.(i)]; a colliding
+     insertion overwrites, and [keys.(3i) = -1] marks an empty entry.
+     It only ever holds completed results; a decision stores its
+     verdict as [One] or [Zero]. *)
   mutable keys : int array;
   mutable results : t array;
   (* node id -> sorted support, memoized for the node's lifetime *)
@@ -151,6 +152,13 @@ let op_xor = 2
 let op_not = 3
 let op_ite = 4
 let op_restrict = 5
+let op_diff = 6
+let op_disjoint = 7
+let op_leq = 8
+let op_equal_on = 9
+
+(* The operation code sits in the low [op_bits] of a key's first int. *)
+let op_bits = 4
 
 (* What a lookup returns on a miss; never stored, compared physically. *)
 let absent = Node { id = -1; v = max_int; lo = Zero; hi = Zero }
@@ -184,7 +192,7 @@ let rec not_ m f =
   | Zero -> One
   | One -> Zero
   | Node n ->
-      let k0 = (n.id lsl 3) lor op_not in
+      let k0 = (n.id lsl op_bits) lor op_not in
       let r = cache_find m k0 0 0 in
       if r != absent then r
       else
@@ -221,7 +229,7 @@ let rec apply_rec m op f g =
 and apply_node m op fi gi f g =
   if fi > gi then apply_node m op gi fi g f
   else
-    let k0 = (fi lsl 3) lor op in
+    let k0 = (fi lsl op_bits) lor op in
     let r = cache_find m k0 gi 0 in
     if r != absent then r
     else
@@ -240,7 +248,73 @@ let nand m f g = not_ m (and_ m f g)
 let nor m f g = not_ m (or_ m f g)
 let xnor m f g = not_ m (xor m f g)
 let imp m f g = or_ m (not_ m f) g
-let diff m f g = and_ m f (not_ m g)
+
+(* f /\ not g without building [not g]; it does not commute, so the
+   operands keep their places in the key. *)
+let rec diff m f g =
+  let fi = id f and gi = id g in
+  if fi = 0 || gi = 1 || fi = gi then Zero
+  else if gi = 0 then f
+  else if fi = 1 then not_ m g
+  else
+    let k0 = (fi lsl op_bits) lor op_diff in
+    let r = cache_find m k0 gi 0 in
+    if r != absent then r
+    else
+      let lf = level f and lg = level g in
+      let v = if lf <= lg then lf else lg in
+      let hi = diff m (cof_hi f v) (cof_hi g v) in
+      let lo = diff m (cof_lo f v) (cof_lo g v) in
+      let r = mk m v lo hi in
+      cache_add m k0 gi 0 r;
+      r
+
+(* ---- decisions ----
+
+   Yes/no questions answered by the and/diff recursion with an early
+   exit.  They never call [mk]: no node is built and the growth hook
+   never ticks.  A verdict is memoized as [One] (yes) or [Zero] (no). *)
+
+let verdict b = if b then One else Zero
+
+(* Is f /\ g = 0? *)
+let rec disjoint m f g =
+  let fi = id f and gi = id g in
+  if fi = 0 || gi = 0 then true
+  else if fi = 1 || gi = 1 || fi = gi then false
+  else
+    (* Commutative: the smaller id goes first in the key. *)
+    let fi, gi, f, g = if fi < gi then (fi, gi, f, g) else (gi, fi, g, f) in
+    let k0 = (fi lsl op_bits) lor op_disjoint in
+    let r = cache_find m k0 gi 0 in
+    if r != absent then r == One
+    else
+      let lf = level f and lg = level g in
+      let v = if lf <= lg then lf else lg in
+      let b =
+        disjoint m (cof_hi f v) (cof_hi g v)
+        && disjoint m (cof_lo f v) (cof_lo g v)
+      in
+      cache_add m k0 gi 0 (verdict b);
+      b
+
+(* Is f <= g, i.e. f /\ not g = 0? *)
+let rec leq m f g =
+  let fi = id f and gi = id g in
+  if fi = 0 || gi = 1 || fi = gi then true
+  else if fi = 1 || gi = 0 then false
+  else
+    let k0 = (fi lsl op_bits) lor op_leq in
+    let r = cache_find m k0 gi 0 in
+    if r != absent then r == One
+    else
+      let lf = level f and lg = level g in
+      let v = if lf <= lg then lf else lg in
+      let b =
+        leq m (cof_hi f v) (cof_hi g v) && leq m (cof_lo f v) (cof_lo g v)
+      in
+      cache_add m k0 gi 0 (verdict b);
+      b
 
 let rec ite m f g h =
   let fi = id f and gi = id g and hj = id h in
@@ -250,7 +324,7 @@ let rec ite m f g h =
   else if gi = 1 && hj = 0 then f
   else if gi = 0 && hj = 1 then not_ m f
   else
-    let k0 = (fi lsl 3) lor op_ite in
+    let k0 = (fi lsl op_bits) lor op_ite in
     let r = cache_find m k0 gi hj in
     if r != absent then r
     else
@@ -273,13 +347,14 @@ let rec restrict_rec m v b tag f =
       if n.v > v then f
       else if n.v = v then if b then n.hi else n.lo
       else
-        let k0 = (n.id lsl 3) lor op_restrict in
+        let k0 = (n.id lsl op_bits) lor op_restrict in
         let r = cache_find m k0 tag 0 in
         if r != absent then r
         else
           let hi = restrict_rec m v b tag n.hi in
           let lo = restrict_rec m v b tag n.lo in
-          let r = mk m n.v lo hi in
+          (* Neither child changed: [f] is the node [mk] would find. *)
+          let r = if hi == n.hi && lo == n.lo then f else mk m n.v lo hi in
           cache_add m k0 tag 0 r;
           r
 
@@ -349,23 +424,76 @@ let mentions_any fs vars =
 
 let depends_on f v = mentions_any [ f ] [ v ]
 
-let size_list fs =
-  let seen = Hashtbl.create 64 in
-  let count = ref 0 in
-  let rec go = function
-    | Zero | One -> ()
-    | Node n ->
-        if not (Hashtbl.mem seen n.id) then begin
-          Hashtbl.add seen n.id ();
-          incr count;
-          go n.lo;
-          go n.hi
-        end
-  in
-  List.iter go fs;
-  !count
+(* The ids [size_list] has visited: open addressing with linear probing
+   over a power-of-two array ([-1] = empty), at most half full.
+   [filled] lists the occupied slots, so clearing costs only what the
+   last count filled.  One set per domain, grown on demand and reused,
+   so a count allocates nothing once the set is large enough. *)
+type id_set = {
+  mutable slots : int array;
+  mutable filled : int array;
+  mutable count : int;
+}
 
-let size f = size_list [ f ]
+let id_sets =
+  Domain.DLS.new_key (fun () ->
+      { slots = Array.make 64 (-1); filled = Array.make 33 0; count = 0 })
+
+let rec probe_id slots mask x i =
+  let e = slots.(i) in
+  if e < 0 || e = x then i else probe_id slots mask x ((i + 1) land mask)
+
+let grow_ids s =
+  let slots = Array.make (2 * Array.length s.slots) (-1) in
+  let mask = Array.length slots - 1 in
+  let filled = Array.make ((Array.length slots / 2) + 1) 0 in
+  for k = 0 to s.count - 1 do
+    let x = s.slots.(s.filled.(k)) in
+    let i = probe_id slots mask x (hash3 x 0 0 land mask) in
+    slots.(i) <- x;
+    filled.(k) <- i
+  done;
+  s.slots <- slots;
+  s.filled <- filled
+
+(* Adds [x]; false if it was already there. *)
+let add_id s x =
+  let mask = Array.length s.slots - 1 in
+  let i = probe_id s.slots mask x (hash3 x 0 0 land mask) in
+  if s.slots.(i) = x then false
+  else begin
+    s.slots.(i) <- x;
+    s.filled.(s.count) <- i;
+    s.count <- s.count + 1;
+    if 2 * s.count > Array.length s.slots then grow_ids s;
+    true
+  end
+
+let rec visit s = function
+  | Zero | One -> ()
+  | Node n ->
+      if add_id s n.id then begin
+        visit s n.lo;
+        visit s n.hi
+      end
+
+let clear_ids () =
+  let s = Domain.DLS.get id_sets in
+  for k = 0 to s.count - 1 do
+    s.slots.(s.filled.(k)) <- -1
+  done;
+  s.count <- 0;
+  s
+
+let size_list fs =
+  let s = clear_ids () in
+  List.iter (visit s) fs;
+  s.count
+
+let size f =
+  let s = clear_ids () in
+  visit s f;
+  s.count
 
 let vector_compose m f subst =
   (* Replacement functions must not mention substituted variables, so that
@@ -406,7 +534,32 @@ let negate_var m f v =
   let lo, hi = cofactor2 m f v in
   ite m (var m v) lo hi
 
-let equal_on m ~care f g = is_zero (and_ m care (xor m f g))
+(* Do f and g agree wherever care holds?  A constant operand reduces
+   the question to [disjoint] or [leq]; otherwise the key is the care
+   id followed by the two operand ids in order. *)
+let rec equal_on m ~care f g =
+  let ci = id care and fi = id f and gi = id g in
+  if ci = 0 || fi = gi then true
+  else if ci = 1 then false
+  else if fi = 0 then disjoint m care g
+  else if gi = 0 then disjoint m care f
+  else if fi = 1 then leq m care g
+  else if gi = 1 then leq m care f
+  else
+    let fi, gi, f, g = if fi < gi then (fi, gi, f, g) else (gi, fi, g, f) in
+    let k0 = (ci lsl op_bits) lor op_equal_on in
+    let r = cache_find m k0 fi gi in
+    if r != absent then r == One
+    else
+      let lc = level care and lf = level f and lg = level g in
+      let v = if lc <= lf then lc else lf in
+      let v = if v <= lg then v else lg in
+      let b =
+        equal_on m ~care:(cof_hi care v) (cof_hi f v) (cof_hi g v)
+        && equal_on m ~care:(cof_lo care v) (cof_lo f v) (cof_lo g v)
+      in
+      cache_add m k0 fi gi (verdict b);
+      b
 
 let miter m pairs = or_list m (List.map (fun (f, g) -> xor m f g) pairs)
 

@@ -11,20 +11,29 @@
     nodes themselves and a lookup compares (variable, lo id, hi id) read
     from the node, so finding or creating a node allocates only the new
     node.  One direct-mapped, lossy computed table memoizes and, or,
-    xor, not, ite and restrict, keyed on packed operand ids.  Both size
+    xor, not, diff, ite and restrict, and the verdicts of the decisions
+    {!disjoint}, {!leq} and {!equal_on}, keyed on packed operand ids
+    and a 4-bit operation code.  Both size
     themselves from the node count: the unique table doubles at half
     load and the computed table follows it up to a fixed cap.  A node's
     id is its creation rank, and whether an operation hits the computed
     table never changes which nodes exist, so ids depend only on the
-    sequence of operations.
+    sequence of operations.  The decisions build no node at all.
+
+    {b Decide, do not build.}  A yes/no question about functions —
+    is [f /\ g] empty, is [f] inside [g], do [f] and [g] agree on a
+    care set — is asked with {!disjoint}, {!leq} or {!equal_on}.
+    Building the conjunction or the difference only to compare it with
+    [zero] creates nodes that nothing else reads.
 
     Mixing nodes of different managers in one operation is a programming
     error; it is detected (cheaply, via node ids) only by assertions.
 
     {b Domain safety.}  All mutable state of this library — the unique
     table, the computed table, the support memo, the growth hook — lives
-    inside a {!manager} value; the library keeps no top-level mutable
-    state whatsoever.  A single manager is {e not} thread-safe, but
+    inside a {!manager} value, except the scratch id set of {!size},
+    which belongs to the calling domain.  A single manager is {e not}
+    thread-safe, but
     distinct managers are fully independent: separate OCaml domains may
     each own a manager and operate concurrently without any
     synchronization ([Decomp.Batch] relies on exactly this).  Node ids
@@ -95,11 +104,30 @@ val nor : manager -> t -> t -> t
 val xnor : manager -> t -> t -> t
 val imp : manager -> t -> t -> t
 val diff : manager -> t -> t -> t
-(** [diff m f g] is [f /\ not g]. *)
+(** [diff m f g] is [f /\ not g], computed natively: the nodes of
+    [not g] are not built. *)
 
 val ite : manager -> t -> t -> t -> t
 val and_list : manager -> t list -> t
 val or_list : manager -> t list -> t
+
+(** {1 Decisions}
+
+    These answer a yes/no question in one memoized walk of the operands
+    that stops at the first witness.  They build no node, so they never
+    tick the growth hook, and they share the computed table with the
+    operations above. *)
+
+val disjoint : manager -> t -> t -> bool
+(** [disjoint m f g]: is [f /\ g] empty? *)
+
+val leq : manager -> t -> t -> bool
+(** [leq m f g]: is [f] contained in [g], i.e. [f /\ not g] empty? *)
+
+val equal_on : manager -> care:t -> t -> t -> bool
+(** [equal_on m ~care f g]: do [f] and [g] agree on every minterm of
+    [care]?  ([care = one] is plain {!equal}; the workhorse of the
+    care-set-aware equivalence audit.) *)
 
 (** {1 Cofactors, quantification, substitution} *)
 
@@ -141,15 +169,13 @@ val support : manager -> t -> int list
 
 val depends_on : t -> int -> bool
 val size : t -> int
-(** Number of internal nodes of [f] (shared nodes counted once). *)
+(** Number of internal nodes of [f] (shared nodes counted once).  The
+    visited ids go to a set that belongs to the calling domain and is
+    reused, so counting allocates only when a DAG outgrows every one
+    counted before on that domain. *)
 
 val size_list : t list -> int
 (** Nodes of the shared DAG of a list of functions. *)
-
-val equal_on : manager -> care:t -> t -> t -> bool
-(** [equal_on m ~care f g]: do [f] and [g] agree on every minterm of
-    [care]?  ([care = one] is plain {!equal}; the workhorse of the
-    care-set-aware equivalence audit.) *)
 
 val miter : manager -> (t * t) list -> t
 (** [miter m pairs] is the disjunction of the pairwise differences

@@ -1,15 +1,16 @@
 let finding ?loc code msg = Some (Diagnostic.make ?loc code msg)
 
 let well_formed_parts m ~where ~on ~dc =
-  if Bdd.is_zero (Bdd.and_ m on dc) then None
+  if Bdd.disjoint m on dc then None
   else finding ~loc:where "DEC001" "on-set and don't-care set intersect"
 
 (* fine refines coarse: on(coarse) <= on(fine) and off(coarse) <= off(fine),
    i.e. every minterm the coarse ISF constrains is constrained the same
-   way by the fine one. *)
+   way by the fine one.  The off-sets are the complements of the up-sets,
+   so the second inclusion is up(fine) <= up(coarse). *)
 let refines m ~coarse ~fine =
-  Bdd.is_one (Bdd.imp m (Isf.on coarse) (Isf.on fine))
-  && Bdd.is_one (Bdd.imp m (Isf.off m coarse) (Isf.off m fine))
+  Bdd.leq m (Isf.on coarse) (Isf.on fine)
+  && Bdd.leq m (Isf.up m fine) (Isf.up m coarse)
 
 let check_refines m ~where ~coarse ~fine =
   if refines m ~coarse ~fine then None
@@ -21,7 +22,7 @@ let check_group_symmetric m ~where fs group =
   let symmetric_in f (i, pi) (j, pj) =
     let rel = pi <> pj in
     let invariant g = Bdd.equal g (Symmetry.swap_rel m g ~rel i j) in
-    invariant (Isf.on f) && invariant (Isf.off m f)
+    invariant (Isf.on f) && invariant (Isf.up m f)
   in
   let rec pairs = function
     | [] -> []
@@ -55,13 +56,13 @@ let check_alpha_count ~where ~nclasses ~r =
       (Printf.sprintf "%d decomposition functions for %d classes (expected %d)"
          r nclasses expected)
 
+(* Composition commutes with complement, so the composed off-set is the
+   complement of the composed up-set: off(spec) <= off_c is
+   up_c <= up(spec). *)
 let check_composition m ~where ~subs ~g ~spec =
   let composed f = Bdd.vector_compose m f subs in
-  let on_c = composed (Isf.on g) and off_c = composed (Isf.off m g) in
-  if
-    Bdd.is_one (Bdd.imp m (Isf.on spec) on_c)
-    && Bdd.is_one (Bdd.imp m (Isf.off m spec) off_c)
-  then None
+  let on_c = composed (Isf.on g) and up_c = composed (Isf.up m g) in
+  if Bdd.leq m (Isf.on spec) on_c && Bdd.leq m up_c (Isf.up m spec) then None
   else
     finding ~loc:where "DEC007"
       "composing the step's functions does not reproduce the specification \

@@ -25,7 +25,7 @@ let analyze m (pla : Pla.t) =
                    else None)
             |> Bdd.or_list m
           in
-          if not (Bdd.is_zero (Bdd.and_ m (plane '1') (plane '0'))) then
+          if not (Bdd.disjoint m (plane '1') (plane '0')) then
             add ~loc:name "PLA001"
               "on-rows and off-rows overlap (reader keeps the on-set)")
         pla.Pla.output_names);

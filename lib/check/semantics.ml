@@ -39,8 +39,7 @@ let of_flow m net flow =
      row and observes the node: flipping it can never change a cared-for
      output. *)
   let free info c =
-    Bdd.is_zero
-      (Bdd.and_ m info.Careflow.code_sets.(c) info.Careflow.observable)
+    Bdd.disjoint m info.Careflow.code_sets.(c) info.Careflow.observable
   in
   List.iter
     (fun info ->
@@ -567,12 +566,12 @@ let audit ?care_of_output m ~inputs ~golden ~candidate =
       match List.assoc_opt name c_out with
       | None -> add ~loc:name "SEM007" "output missing from the candidate network"
       | Some cf ->
-          let diff = Bdd.and_ m (care_of name) (Bdd.xor m gf cf) in
-          if not (Bdd.is_zero diff) then
+          let care = care_of name in
+          if not (Bdd.equal_on m ~care gf cf) then
             add ~loc:name "SEM007"
               (Printf.sprintf
                  "networks disagree inside the care set, e.g. at %s"
-                 (counterexample diff)))
+                 (counterexample (Bdd.and_ m care (Bdd.xor m gf cf)))))
     g_out;
   List.iter
     (fun (name, _) ->

@@ -1,19 +1,5 @@
 let worst = Cost.worst
 
-(* [bound inter support] by one merge of the two ascending lists.  A
-   suffix of [bound] that [support] contains entirely is shared, so a
-   [bound] inside [support] comes back as the same physical list, which
-   [Classes.refine] reads without a projection. *)
-let rec inter (bound : int list) support =
-  match (bound, support) with
-  | [], _ | _, [] -> []
-  | b :: bs, s :: ss ->
-      if b < s then inter bs support
-      else if s < b then inter bound ss
-      else
-        let rest = inter bs ss in
-        if rest == bs then bound else b :: rest
-
 (* [supports] holds [Isf.support] of each ISF, in order.  Each ISF is
    cofactored over [bound inter supp f] only: fixing a variable outside
    its support leaves every cofactor the same node, so the vector over
@@ -30,7 +16,9 @@ let score_against ?cache ?stats ?(lut_size = max_int) ?(cost = Cost.area) m
   let relevant =
     List.fold_right2
       (fun f support acc ->
-        match inter bound support with [] -> acc | sub -> (f, sub) :: acc)
+        match Classes.inter bound support with
+        | [] -> acc
+        | sub -> (f, sub) :: acc)
       isfs supports []
   in
   (* A bound set no ISF depends on reduces nothing: decomposing against
@@ -54,12 +42,11 @@ let score_against ?cache ?stats ?(lut_size = max_int) ?(cost = Cost.area) m
         stats.Stats.score_hits <- stats.Stats.score_hits + 1;
         s
     | None ->
-        let vector f sub =
-          match cache with
-          | Some c -> Score_cache.cofactor_vector c f sub
-          | None -> Isf.cofactor_vector m f sub
+        let vecs =
+          List.map
+            (fun (f, sub) -> (sub, Classes.cofactor_vector ?cache m f sub))
+            relevant
         in
-        let vecs = List.map (fun (f, sub) -> (sub, vector f sub)) relevant in
         (* Per-output class counts and the joint count from one
            numbering, refined output by output; the overlap of an ISF
            with the bound set is [|sub|]. *)
@@ -112,11 +99,7 @@ let score ?cache ?stats ?lut_size ?cost m isfs bound =
   in
   if not (ascending bound) then
     invalid_arg "Bound_select.score: bound set not strictly ascending";
-  (* An empty bound set never reads the supports, as [Isf.support] may
-     build the off-set's nodes. *)
-  let supports =
-    List.map (fun f -> match bound with [] -> [] | _ -> Isf.support m f) isfs
-  in
+  let supports = List.map (Isf.support m) isfs in
   score_against ?cache ?stats ?lut_size ?cost m isfs supports bound
 
 let select_with_target ?cache ?cost ?(check = ignore) ?(min_size = 2) m cfg

@@ -153,7 +153,31 @@ let refine s sub vec =
 let count s = s.count
 let ids s = Array.sub s.ids 0 s.n
 
-let cofactor_matrix m isfs bound =
+(* [bound inter support] by one merge of the two ascending lists.  A
+   suffix of [bound] that [support] contains entirely is shared, so a
+   [bound] inside [support] comes back as the same physical list, which
+   [refine] reads without a projection. *)
+let rec inter (bound : int list) support =
+  match (bound, support) with
+  | [], _ | _, [] -> []
+  | b :: bs, s :: ss ->
+      if b < s then inter bs support
+      else if s < b then inter bound ss
+      else
+        let rest = inter bs ss in
+        if rest == bs then bound else b :: rest
+
+let cofactor_vector ?cache m f sub =
+  match (sub, cache) with
+  | [], _ -> [| f |]
+  | _, Some c -> Score_cache.cofactor_vector c f sub
+  | _, None -> Isf.cofactor_vector m f sub
+
+(* Each function's vector over [bound inter supp f], read through the
+   projection: fixing a variable outside the support leaves every
+   cofactor the same node, so vertex [v]'s entry is exactly the
+   cofactor over the whole bound set at [v]. *)
+let cofactor_matrix ?cache m isfs bound =
   let rec ascending = function
     | [] | [ _ ] -> true
     | a :: (b :: _ as rest) -> a < b && ascending rest
@@ -162,14 +186,25 @@ let cofactor_matrix m isfs bound =
     invalid_arg "Classes.cofactor_matrix: bound set not ascending";
   let isfs = Array.of_list isfs in
   let nitems = Array.length isfs in
-  let vecs = Array.map (fun f -> Isf.cofactor_vector m f bound) isfs in
+  let subs = Array.map (fun f -> inter bound (Isf.support m f)) isfs in
+  let vecs = Array.map2 (cofactor_vector ?cache m) isfs subs in
   let s = numbering bound in
-  Array.iter (fun vec -> ignore (refine s bound vec)) vecs;
+  Array.iter2 (fun sub vec -> ignore (refine s sub vec)) subs vecs;
   let node_of_vertex = ids s in
+  let reps = Array.sub s.rep 0 s.count in
+  (* [cols.(i).(node)]: item [i]'s cofactor at the node's first vertex. *)
+  let cols =
+    Array.map2
+      (fun sub vec ->
+        if sub == bound then Array.map (fun v -> vec.(v)) reps
+        else begin
+          project s sub;
+          Array.map (fun v -> vec.(s.proj.(v))) reps
+        end)
+      subs vecs
+  in
   let node_cof =
-    Array.init s.count (fun node ->
-        let v = s.rep.(node) in
-        Array.init nitems (fun i -> vecs.(i).(v)))
+    Array.init s.count (fun node -> Array.init nitems (fun i -> cols.(i).(node)))
   in
   { bound; nitems; node_of_vertex; node_cof }
 
@@ -190,17 +225,6 @@ let joint_incompat m t =
     done
   done;
   g
-
-let join_isfs m = function
-  | [] -> invalid_arg "Classes.join_isfs: empty"
-  | first :: rest ->
-      let on, off =
-        List.fold_left
-          (fun (on, off) f -> (Bdd.or_ m on (Isf.on f), Bdd.or_ m off (Isf.off m f)))
-          (Isf.on first, Isf.off m first)
-          rest
-      in
-      Isf.of_on_off m ~on ~off
 
 let incompat m isfs =
   let count = Array.length isfs in

@@ -62,9 +62,28 @@ val count : numbering -> int
 val ids : numbering -> int array
 (** The joint class of every vertex, in a fresh array. *)
 
-val cofactor_matrix : Bdd.manager -> Isf.t list -> int list -> t
+val inter : int list -> int list -> int list
+(** [inter bound support]: the variables of the ascending [bound] that
+    the ascending [support] contains, by one merge.  When [support]
+    contains all of [bound], the result is [bound] itself, the same
+    physical list, which {!refine} reads without a projection. *)
+
+val cofactor_vector :
+  ?cache:Score_cache.t -> Bdd.manager -> Isf.t -> int list -> Isf.t array
+(** [cofactor_vector ?cache m f sub]: [f]'s cofactor vector over the
+    ascending [sub], from [cache] when one is given
+    ({!Score_cache.cofactor_vector}) and computed with
+    {!Isf.cofactor_vector} otherwise.  An empty [sub] gives [[| f |]]
+    without asking the cache. *)
+
+val cofactor_matrix : ?cache:Score_cache.t -> Bdd.manager -> Isf.t list -> int list -> t
 (** Cofactor every function w.r.t. the (ascending) bound set and
-    deduplicate vertices with identical cofactor tuples. *)
+    deduplicate vertices with identical cofactor tuples.  Each function
+    [f] is cofactored over [bound inter supp f] only ({!cofactor_vector},
+    so with the search's [cache] every vector is one it already built)
+    and read through the projection, in {!refine} and in [node_cof]
+    alike: the matrix is the one cofactoring every function over the
+    whole bound set would give, node for node. *)
 
 val joint_incompat : Bdd.manager -> t -> Ugraph.t
 (** Graph on nodes; edge = some output's cofactors are incompatible. *)
@@ -73,11 +92,6 @@ val incompat : Bdd.manager -> Isf.t array -> Ugraph.t
 (** Graph on the indices of the array; edge = the two ISFs are
     incompatible.  Step 3 builds it on one output's joined cofactors of
     the step-2 classes. *)
-
-val join_isfs : Bdd.manager -> Isf.t list -> Isf.t
-(** Join of pairwise-compatible ISFs (conflicts are only ever pairwise,
-    so pairwise compatibility suffices).
-    @raise Invalid_argument on incompatible input. *)
 
 val ncc_csf : Bdd.manager -> Bdd.t list -> int list -> int
 (** Number of jointly distinct cofactor tuples of completely specified

@@ -437,8 +437,8 @@ let decompose_report ?(cfg = Config.default) ?(budget = Budget.unlimited)
           Array.map (fun f -> List.length (Isf.support m f)) isfs
         in
         let result =
-          Step.run ~budget ~checks ~emit:emit_finding ~stats m cfg ~fresh_var
-            isfs ~bound
+          Step.run ~budget ~checks ~emit:emit_finding ~stats ~cache m cfg
+            ~fresh_var isfs ~bound
         in
         let progressed = ref false in
         Array.iteri

@@ -84,8 +84,7 @@ let facts_of_exact m care_any info =
     fa_signal = info.Careflow.signal;
     fa_free =
       Bv.of_fun nvars (fun c ->
-          Bdd.is_zero
-            (Bdd.and_ m info.Careflow.code_sets.(c) info.Careflow.observable));
+          Bdd.disjoint m info.Careflow.code_sets.(c) info.Careflow.observable);
     fa_unreach =
       Bv.of_fun nvars (fun c -> Bdd.is_zero info.Careflow.code_sets.(c));
     fa_dead = Bdd.is_zero info.Careflow.observable;

@@ -68,7 +68,7 @@ let merge_coloring ?(budget = Budget.unlimited) m cfg g cof =
                 (fun c ->
                   let j =
                     List.map2
-                      (fun a b -> Classes.join_isfs m [ a; b ])
+                      (fun a b -> Isf.join m [ a; b ])
                       (Hashtbl.find joined c) cv
                   in
                   (isf_sizes j, c, j))
@@ -135,9 +135,25 @@ let canonicalize_colors colors =
           c')
     colors
 
+(* The join of the class cofactors, each guarded by its code minterm:
+   class c constrains g only where mt_c holds, so its interval is
+   [mt_c /\ on_c, not mt_c \/ up_c].  The joined upper bound is the
+   complement of the off-set \/ (mt_c /\ off_c), so the check and the
+   dc-set are those of [Isf.of_on_off] on that off-set, codes shared by
+   two classes and unused codes included, and no off-set is built. *)
+let compose m ~vars codes cofs =
+  let on = ref (Bdd.zero m) and up = ref (Bdd.one m) in
+  Array.iteri
+    (fun c code ->
+      let mt = Bdd.minterm_of_code m vars code in
+      on := Bdd.or_ m !on (Bdd.and_ m mt (Isf.on cofs.(c)));
+      up := Bdd.and_ m !up (Bdd.ite m mt (Isf.up m cofs.(c)) (Bdd.one m)))
+    codes;
+  Isf.of_on_up m ~on:!on ~up:!up
+
 let run ?(budget = Budget.unlimited) ?(checks = Diagnostic.Off)
-    ?(emit = fun (_ : Diagnostic.t) -> ()) ?(stats = Stats.create ()) m cfg
-    ~fresh_var isfs ~bound =
+    ?(emit = fun (_ : Diagnostic.t) -> ()) ?(stats = Stats.create ()) ?cache m
+    cfg ~fresh_var isfs ~bound =
   let checking = Diagnostic.at_least checks Diagnostic.Cheap in
   let clock = Stats.clock stats in
   let phase name =
@@ -146,7 +162,7 @@ let run ?(budget = Budget.unlimited) ?(checks = Diagnostic.Off)
     Budget.check budget ~where:("step/" ^ name)
   in
   let nitems = Array.length isfs in
-  let info = Classes.cofactor_matrix m (Array.to_list isfs) bound in
+  let info = Classes.cofactor_matrix ?cache m (Array.to_list isfs) bound in
   phase "cofactor-matrix";
   let nnodes = Classes.nnodes info in
   (* ---- step 2: joint classes (sharing-aware don't-care assignment).
@@ -176,7 +192,7 @@ let run ?(budget = Budget.unlimited) ?(checks = Diagnostic.Off)
         Array.iteri
           (fun node c -> members.(c) <- info.Classes.node_cof.(node).(i) :: members.(c))
           class_of_node;
-        Array.map (Classes.join_isfs m) members)
+        Array.map (Isf.join m) members)
   in
   (* ---- step 3: per-output classes (Chang & Marek-Sadowska).  Operates
      on the joint classes (never splitting them, so the step-2 lower
@@ -208,7 +224,7 @@ let run ?(budget = Budget.unlimited) ?(checks = Diagnostic.Off)
         Array.iteri
           (fun jc color -> members.(color) <- joint_cof.(i).(jc) :: members.(color))
           color_of_joint;
-        Array.map (Classes.join_isfs m) members)
+        Array.map (Isf.join m) members)
   in
   (* ---- encode: classes of nodes per output -> codes + shared alphas *)
   let specs =
@@ -249,14 +265,7 @@ let run ?(budget = Budget.unlimited) ?(checks = Diagnostic.Off)
     Array.init nitems (fun i ->
         let { Encode.alpha_ids; code_of_class } = enc.Encode.outputs.(i) in
         let vars = List.map (fun id -> var_of_pool.(id)) alpha_ids in
-        let on = ref zero and off = ref zero in
-        Array.iteri
-          (fun c code ->
-            let mt = Bdd.minterm_of_code m vars code in
-            on := Bdd.or_ m !on (Bdd.and_ m mt (Isf.on out_cof.(i).(c)));
-            off := Bdd.or_ m !off (Bdd.and_ m mt (Isf.off m out_cof.(i).(c))))
-          code_of_class;
-        Isf.of_on_off m ~on:!on ~off:!off)
+        compose m ~vars code_of_class out_cof.(i))
   in
   let g =
     if cfg.Config.zero_dc_on_entry then Array.map (Isf.assign_all_zero m) g

@@ -33,6 +33,7 @@ val run :
   ?checks:Diagnostic.level ->
   ?emit:(Diagnostic.t -> unit) ->
   ?stats:Stats.t ->
+  ?cache:Score_cache.t ->
   Bdd.manager ->
   Config.t ->
   fresh_var:(unit -> int) ->
@@ -46,13 +47,28 @@ val run :
     class-merging colorings; {!Budget.Out_of_budget} can only escape
     {e before} anything is emitted — the step itself is pure, all
     commitment happens in the driver.  [stats] receives the [step/*]
-    phase timings (default: a fresh throwaway instance).
+    phase timings (default: a fresh throwaway instance).  [cache] is
+    the bound-set search's {!Score_cache}: the cofactor matrix reads
+    each function's vector over [bound inter supp f] from it — the
+    search has just built every one of them — instead of cofactoring
+    from the root ({!Classes.cofactor_matrix}).  Without it the vectors
+    are computed; the result is the same either way.
 
     With [checks] at [Cheap] or above (default [Off]), the step's
     internal invariants are verified and violations reported through
     [emit] (default: drop): proper clique covers ([DEC004]), injective
     encodings ([DEC005]) and the [ceil(log2 ncc)] function count
     ([DEC006]).  The checks never change the result. *)
+
+val compose : Bdd.manager -> vars:int list -> int array -> Isf.t array -> Isf.t
+(** [compose m ~vars codes cofs]: the composition function of one
+    output whose class [c] has the code [codes.(c)] over the alpha
+    variables [vars] (first variable = most significant bit) and the
+    cofactor [cofs.(c)].  It is the join of the classes, each guarded by
+    its code minterm [mt_c]: on-set [\/ (mt_c /\ on_c)], upper bound
+    [/\ (not mt_c \/ up_c)].  Codes no class uses are don't cares.
+    @raise Invalid_argument if two classes that share a code are
+    incompatible. *)
 
 val total_alpha_lower_bound : result -> int
 (** [ceil(log2 joint_classes)] — the paper's lower bound on the total

@@ -1,7 +1,7 @@
 type t = { on : Bdd.t; dc : Bdd.t }
 
 let make m ~on ~dc =
-  if not (Bdd.is_zero (Bdd.and_ m on dc)) then
+  if not (Bdd.disjoint m on dc) then
     invalid_arg "Isf.make: on-set and dc-set intersect";
   { on; dc }
 
@@ -9,32 +9,45 @@ let of_csf m on = { on; dc = Bdd.zero m }
 
 let on t = t.on
 let dc t = t.dc
-let off m t = Bdd.not_ m (Bdd.or_ m t.on t.dc)
+(* A completely specified function is its own upper bound: [or_] with
+   [zero] returns [on] itself. *)
+let up m t = Bdd.or_ m t.on t.dc
+let off m t = Bdd.not_ m (up m t)
 let care m t = Bdd.not_ m t.dc
 let is_completely_specified t = Bdd.is_zero t.dc
 
 let of_on_off m ~on ~off =
-  if not (Bdd.is_zero (Bdd.and_ m on off)) then
+  if not (Bdd.disjoint m on off) then
     invalid_arg "Isf.of_on_off: on-set and off-set intersect";
   make m ~on ~dc:(Bdd.nor m on off)
 
-let extends m g t =
-  Bdd.is_zero (Bdd.diff m t.on g) && Bdd.is_zero (Bdd.and_ m g (off m t))
+let interval ~what m ~on ~up =
+  if not (Bdd.leq m on up) then invalid_arg what;
+  { on; dc = Bdd.diff m up on }
+
+let of_on_up =
+  interval ~what:"Isf.of_on_up: on-set not inside the upper bound"
+
+let extends m g t = Bdd.leq m t.on g && Bdd.leq m g (up m t)
 
 let equal a b = Bdd.equal a.on b.on && Bdd.equal a.dc b.dc
 
-let compatible m a b =
-  Bdd.is_zero (Bdd.and_ m a.on (off m b))
-  && Bdd.is_zero (Bdd.and_ m b.on (off m a))
+let compatible m a b = Bdd.leq m a.on (up m b) && Bdd.leq m b.on (up m a)
 
-let join m a b =
-  if not (compatible m a b) then invalid_arg "Isf.join: incompatible";
-  let on = Bdd.or_ m a.on b.on in
-  let off_ = Bdd.or_ m (off m a) (off m b) in
-  make m ~on ~dc:(Bdd.nor m on off_)
+(* [on <= up] of the joined interval says on_i <= up_j for every i and
+   j, which is pairwise compatibility. *)
+let join m = function
+  | [] -> invalid_arg "Isf.join: empty"
+  | first :: rest ->
+      let on, up =
+        List.fold_left
+          (fun (on, u) f -> (Bdd.or_ m on f.on, Bdd.and_ m u (up m f)))
+          (first.on, up m first) rest
+      in
+      interval ~what:"Isf.join: incompatible" m ~on ~up
 
 let assign_all_zero m t = { t with dc = Bdd.zero m }
-let assign_all_one m t = { on = Bdd.or_ m t.on t.dc; dc = Bdd.zero m }
+let assign_all_one m t = { on = up m t; dc = Bdd.zero m }
 
 let restrict m t v b =
   make m ~on:(Bdd.restrict m t.on v b) ~dc:(Bdd.restrict m t.dc v b)
@@ -51,7 +64,11 @@ let extend_cofactor_vector m vec vars v =
   let dcs = Bdd.extend_cofactor_vector m (Array.map dc vec) vars v in
   Array.map2 (fun on dc -> make m ~on ~dc) ons dcs
 
-(* Both supports are memoized ascending lists: merge them. *)
+(* The off-set is the complement of [up], so it has [up]'s support, and
+   supp on \/ supp up = supp on \/ supp dc: [up = on \/ dc] and
+   [dc = up /\ not on] each depend only on variables of the other two.
+   Both supports are memoized ascending lists: merge them, building
+   nothing. *)
 let support m t =
   let rec union (a : int list) b =
     match (a, b) with
@@ -61,7 +78,7 @@ let support m t =
         else if y < x then y :: union a ys
         else x :: union xs ys
   in
-  union (Bdd.support m t.on) (Bdd.support m (off m t))
+  union (Bdd.support m t.on) (Bdd.support m t.dc)
 
 let random_extension m t st =
   if Bdd.is_zero t.dc then t.on

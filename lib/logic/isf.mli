@@ -3,7 +3,11 @@
     The off-set is the complement of their union.
 
     An ISF stands for the interval of completely specified functions
-    (extensions) [g] with [on <= g <= on \/ dc]. *)
+    (extensions) [g] with [on <= g <= up], where [up = on \/ dc].
+    Every question this module answers — {!compatible}, {!extends},
+    {!support}, the check of {!join} — is posed on [on], [dc] and [up]
+    and decided by {!Bdd.leq} or {!Bdd.disjoint}; only {!off} and
+    {!care} build a complement. *)
 
 type t = private { on : Bdd.t; dc : Bdd.t }
 
@@ -17,8 +21,17 @@ val of_on_off : Bdd.manager -> on:Bdd.t -> off:Bdd.t -> t
 (** Don't-care set is everything outside [on \/ off].
     @raise Invalid_argument if [on] and [off] intersect. *)
 
+val of_on_up : Bdd.manager -> on:Bdd.t -> up:Bdd.t -> t
+(** The interval [[on, up]]: the don't-care set is [up /\ not on].
+    @raise Invalid_argument unless [on <= up]. *)
+
 val on : t -> Bdd.t
 val dc : t -> Bdd.t
+
+val up : Bdd.manager -> t -> Bdd.t
+(** [on \/ dc], the largest extension.  A completely specified
+    function returns its on-set itself. *)
+
 val off : Bdd.manager -> t -> Bdd.t
 val care : Bdd.manager -> t -> Bdd.t
 
@@ -34,10 +47,12 @@ val compatible : Bdd.manager -> t -> t -> bool
 (** Do the two ISFs admit a common extension (on-set of one never meets
     the off-set of the other)? *)
 
-val join : Bdd.manager -> t -> t -> t
-(** Conjunction of the constraints of two compatible ISFs: the result's
-    extensions are exactly the common extensions.
-    @raise Invalid_argument if they are not compatible. *)
+val join : Bdd.manager -> t list -> t
+(** Conjunction of the constraints of a non-empty list of ISFs: the
+    result's extensions are exactly the common extensions, the interval
+    [[\/ on_i, /\ up_i]].  Conflicts are only ever pairwise, so the list
+    has a join exactly when its members are pairwise compatible.
+    @raise Invalid_argument on an empty or incompatible list. *)
 
 val assign_all_zero : Bdd.manager -> t -> t
 (** The classical pessimistic assignment: every don't care becomes 0
@@ -57,7 +72,10 @@ val extend_cofactor_vector : Bdd.manager -> t array -> int list -> int -> t arra
     variable by splitting each cached cofactor. *)
 
 val support : Bdd.manager -> t -> int list
-(** Variables on which the on-set or the off-set depends. *)
+(** Variables on which the on-set or the off-set depends.  That is the
+    union of the supports of [on] and [up], which equals the union of
+    the supports of [on] and [dc]; the latter is read from the memo
+    without building [up]. *)
 
 val random_extension : Bdd.manager -> t -> Random.State.t -> Bdd.t
 (** A random extension (each dc minterm resolved independently is too

@@ -6,8 +6,7 @@ let is_cover m ~ninputs ~on ?dc cubes =
   ignore ninputs;
   let dc = match dc with Some d -> d | None -> Bdd.zero m in
   let f = cover_bdd m cubes in
-  Bdd.is_zero (Bdd.diff m on f)
-  && Bdd.is_zero (Bdd.diff m f (Bdd.or_ m on dc))
+  Bdd.leq m on f && Bdd.leq m f (Bdd.or_ m on dc)
 
 (* EXPAND: raise literals to '-' greedily while the cube stays inside
    on \/ dc.  The result is prime w.r.t. the left-to-right column
@@ -20,7 +19,7 @@ let expand m allowed cube =
     | Cover.L0 | Cover.L1 ->
         let saved = cube.(k) in
         cube.(k) <- Cover.Ldash;
-        if not (Bdd.is_zero (Bdd.diff m (cube_bdd m cube) allowed)) then
+        if not (Bdd.leq m (cube_bdd m cube) allowed) then
           cube.(k) <- saved
   done;
   cube
@@ -33,10 +32,7 @@ let irredundant m ~on ~dc cubes =
     | [] -> List.rev kept
     | cube :: rest ->
         let others = cover_bdd m (kept @ rest) in
-        let contribution =
-          Bdd.diff m (cube_bdd m cube) (Bdd.or_ m others dc)
-        in
-        if Bdd.is_zero contribution then go kept rest
+        if Bdd.leq m (cube_bdd m cube) (Bdd.or_ m others dc) then go kept rest
         else go (cube :: kept) rest
   in
   go [] cubes

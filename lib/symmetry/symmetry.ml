@@ -18,18 +18,23 @@ let symmetric_pair m fs ~rel i j =
    quadrant cofactors, and yield the same canonical BDDs as [swap_rel]
    would. *)
 
-(* on /\ sigma(off) = 0: on the fixed quadrants it is on_q /\ off_q = 0;
-   on the moved ones it is on_a /\ off_b and on_b /\ off_a.  The
-   mirrored test sigma(on) /\ off is sigma of this one. *)
+(* on <= sigma(up), with up = on \/ dc: on the fixed quadrants it is
+   on_q <= up_q, which always holds; on the moved ones it is
+   on_a <= up_b and on_b <= up_a.  The mirrored test sigma(on) <= up
+   is sigma of this one.  A completely specified function has
+   [up == on]: it restricts one DAG, not two, and the two inclusions
+   say on_a = on_b, one id comparison. *)
 let exchangeable m f rel i j =
-  let on = Isf.on f and off = Isf.off m f in
-  let on0 = Bdd.restrict m on i false and off1 = Bdd.restrict m off i true in
-  Bdd.is_zero
-    (Bdd.and_ m (Bdd.restrict m on0 j (not rel)) (Bdd.restrict m off1 j rel))
-  &&
-  let on1 = Bdd.restrict m on i true and off0 = Bdd.restrict m off i false in
-  Bdd.is_zero
-    (Bdd.and_ m (Bdd.restrict m on1 j rel) (Bdd.restrict m off0 j (not rel)))
+  let on = Isf.on f and up = Isf.up m f in
+  let on0 = Bdd.restrict m on i false and up1 = Bdd.restrict m up i true in
+  let on_a = Bdd.restrict m on0 j (not rel)
+  and up_b = Bdd.restrict m up1 j rel in
+  if up == on then Bdd.equal on_a up_b
+  else
+    Bdd.leq m on_a up_b
+    &&
+    let on1 = Bdd.restrict m on i true and up0 = Bdd.restrict m up i false in
+    Bdd.leq m (Bdd.restrict m on1 j rel) (Bdd.restrict m up0 j (not rel))
 
 let rec all_exchangeable m rel i j = function
   | [] -> true
@@ -48,22 +53,24 @@ let with_moved m rel i j ~c ~d u =
 exception Conflict
 
 (* g \/ sigma(g) keeps g on the fixed quadrants and puts g_a \/ g_b on
-   both moved ones, so the closed on- and off-sets meet exactly where
-   their moved-quadrant unions do.  Raises [Conflict] when they meet.
-   The closed dc-set is the old one on the fixed quadrants and the
-   complement of both unions on the moved ones. *)
+   both moved ones.  So the closed on-set there is u_on = on_a \/ on_b
+   and the closed off-set is off_a \/ off_b, the complement of
+   u_up = up_a /\ up_b; they meet unless u_on <= u_up, and then
+   [Conflict] is raised.  The closed dc-set is the old one on the fixed
+   quadrants and u_up /\ not u_on on the moved ones.  Complements are
+   canonical, so the off-sets agree exactly when the up-sets do. *)
 let close_one m f rel i j =
-  let on = Isf.on f and off = Isf.off m f in
+  let on = Isf.on f and up = Isf.up m f in
   let on0 = Bdd.restrict m on i false and on1 = Bdd.restrict m on i true in
-  let off0 = Bdd.restrict m off i false and off1 = Bdd.restrict m off i true in
+  let up0 = Bdd.restrict m up i false and up1 = Bdd.restrict m up i true in
   let on_a = Bdd.restrict m on0 j (not rel)
   and on_b = Bdd.restrict m on1 j rel in
-  let off_a = Bdd.restrict m off0 j (not rel)
-  and off_b = Bdd.restrict m off1 j rel in
-  if Bdd.equal on_a on_b && Bdd.equal off_a off_b then f
+  let up_a = Bdd.restrict m up0 j (not rel)
+  and up_b = Bdd.restrict m up1 j rel in
+  if Bdd.equal on_a on_b && Bdd.equal up_a up_b then f
   else
-    let u_on = Bdd.or_ m on_a on_b and u_off = Bdd.or_ m off_a off_b in
-    if not (Bdd.is_zero (Bdd.and_ m u_on u_off)) then raise Conflict;
+    let u_on = Bdd.or_ m on_a on_b and u_up = Bdd.and_ m up_a up_b in
+    if not (Bdd.leq m u_on u_up) then raise Conflict;
     let dc = Isf.dc f in
     let dc0 = Bdd.restrict m dc i false and dc1 = Bdd.restrict m dc i true in
     let on' =
@@ -72,7 +79,7 @@ let close_one m f rel i j =
     and dc' =
       with_moved m rel i j ~c:(Bdd.restrict m dc0 j rel)
         ~d:(Bdd.restrict m dc1 j (not rel))
-        (Bdd.nor m u_on u_off)
+        (Bdd.diff m u_up u_on)
     in
     Isf.make m ~on:on' ~dc:dc'
 

@@ -56,28 +56,33 @@ val swap_rel : Bdd.manager -> Bdd.t -> rel:bool -> int -> int -> Bdd.t
 (** The exchange of [x_i] and [x_j] with phase [rel] fixes the quadrants
     [(x_i, x_j) = (0, rel)] and [(1, not rel)] of the pair and swaps the
     other two, [a = (0, not rel)] and [b = (1, rel)].  The two functions
-    below read the cofactors of the on- and off-sets on these quadrants
-    instead of building [sigma] of the whole function; their results
-    are the same canonical BDDs as the [swap_rel] formulation.  Both
-    treat [i = j] as never symmetrizable. *)
+    below read the cofactors of the on-set and of [up = on \/ dc]
+    ({!Isf.up}) on these quadrants instead of building [sigma] of the
+    whole function, and decide with {!Bdd.leq}; their results are the
+    same canonical BDDs as the [swap_rel] formulation.  The off-set is
+    the complement of [up], so no complement is built.  Both treat
+    [i = j] as never symmetrizable. *)
 
 val symmetrizable :
   Bdd.manager -> Isf.t list -> rel:bool -> int -> int -> bool
 (** Can don't cares of every function in the vector be assigned so that
     all become symmetric in the pair?  (No assignment is performed.)
-    Exactly when every function has [on_a /\ off_b = 0] and
-    [on_b /\ off_a = 0]: on the fixed quadrants [on /\ sigma(off)] is
-    [on /\ off = 0], on the moved ones it is these two conjunctions. *)
+    Exactly when every function has [on_a <= up_b] and [on_b <= up_a]
+    (that is, [on_a /\ off_b = 0] and [on_b /\ off_a = 0]): on the fixed
+    quadrants [on <= sigma(up)] is [on <= up], which always holds, and
+    on the moved ones it is these two inclusions. *)
 
 val symmetrize :
   Bdd.manager -> Isf.t list -> rel:bool -> int -> int -> Isf.t list option
 (** Perform the forced assignments: on-sets and off-sets are closed
     under the exchange ([on \/ sigma(on)], [off \/ sigma(off)]).  The
     closure keeps the fixed quadrants and puts [u_on = on_a \/ on_b]
-    (resp. [u_off]) on both moved ones, so the result is [None] iff
-    [u_on /\ u_off <> 0] for some function; otherwise each function is
-    rebuilt by ITEs over [x_i] and [x_j], and one whose moved quadrants
-    already agree is returned as it is. *)
+    (resp. [off_a \/ off_b], the complement of [u_up = up_a /\ up_b]) on
+    both moved ones, so the result is [None] iff [u_on <= u_up] fails
+    for some function; otherwise each function is rebuilt by ITEs over
+    [x_i] and [x_j], with don't-care set [u_up /\ not u_on] on the moved
+    quadrants, and one whose moved quadrants already agree is returned
+    as it is. *)
 
 (** {1 Step 1 of the paper's don't-care assignment} *)
 

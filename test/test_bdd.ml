@@ -365,7 +365,10 @@ let table_tests =
 
 (* A fresh manager pushed far past its initial unique-table and
    computed-table sizes, so entries are evicted and tables regrow while
-   results are checked. *)
+   results are checked.  The operands include both constants and three
+   derived from the first two random ones (a meet, a join and a
+   difference), and every operand meets itself, so the decisions see
+   yes as well as no, and their shortcuts. *)
 let eviction_prop =
   prop "operations agree with oracle past the initial tables" ~count:3
     QCheck2.Gen.int (fun seed ->
@@ -373,44 +376,125 @@ let eviction_prop =
       let st = Random.State.make [| seed |] in
       let m = Bdd.manager () in
       let bvs = Array.init 5 (fun _ -> random_bv st n) in
+      let bvs =
+        Array.append bvs
+          [|
+            Bv.create n false;
+            Bv.create n true;
+            Bv.and_ bvs.(0) bvs.(1);
+            Bv.or_ bvs.(0) bvs.(1);
+            Bv.and_ bvs.(0) (Bv.not_ bvs.(1));
+          |]
+      in
       let fs = Array.map (Bv.to_bdd m) bvs in
+      let nops = Array.length bvs in
       let results = ref [] in
       let record bv f = results := (bv, f) :: !results in
+      (* (expected, answer, did the answer leave node_count alone?) *)
+      let decisions = ref [] in
+      let decide expected answer =
+        let before = Bdd.node_count m in
+        let got = answer () in
+        decisions := (expected, got, Bdd.node_count m = before) :: !decisions
+      in
       Array.iteri
         (fun i a ->
           let f = fs.(i) in
-          record (Bv.not_ a) (Bdd.not_ m f);
-          record (Bv.cofactor a i true) (Bdd.restrict m f i true);
-          record (Bv.cofactor a (i + 5) false) (Bdd.restrict m f (i + 5) false);
+          (* Tabulating a result is the slow part: do it for the random
+             operands only. *)
+          let random = i < 5 in
+          if random then begin
+            record (Bv.not_ a) (Bdd.not_ m f);
+            record (Bv.cofactor a i true) (Bdd.restrict m f i true);
+            record (Bv.cofactor a (i + 5) false) (Bdd.restrict m f (i + 5) false)
+          end;
           Array.iteri
             (fun j b ->
-              let k = (i + j) mod 5 in
+              let k = (i + j) mod nops in
               let g = fs.(j) and c = bvs.(k) and h = fs.(k) in
-              record (Bv.and_ a b) (Bdd.and_ m f g);
-              record (Bv.or_ a b) (Bdd.or_ m f g);
-              record (Bv.xor a b) (Bdd.xor m f g);
-              record
-                (Bv.or_ (Bv.and_ a b) (Bv.and_ (Bv.not_ a) c))
-                (Bdd.ite m f g h))
+              if random && j < 5 then begin
+                record (Bv.and_ a b) (Bdd.and_ m f g);
+                record (Bv.or_ a b) (Bdd.or_ m f g);
+                record (Bv.xor a b) (Bdd.xor m f g);
+                record
+                  (Bv.or_ (Bv.and_ a b) (Bv.and_ (Bv.not_ a) c))
+                  (Bdd.ite m f g h);
+                record (Bv.and_ a (Bv.not_ b)) (Bdd.diff m f g)
+              end;
+              decide
+                (Bv.is_zero (Bv.and_ a b))
+                (fun () -> Bdd.disjoint m f g);
+              decide
+                (Bv.is_zero (Bv.and_ a (Bv.not_ b)))
+                (fun () -> Bdd.leq m f g);
+              decide
+                (Bv.is_zero (Bv.and_ c (Bv.xor a b)))
+                (fun () -> Bdd.equal_on m ~care:h f g))
             bvs)
         bvs;
       let results = List.rev !results in
       Bdd.node_count m > 20_000
       && List.for_all (fun (bv, f) -> Bv.equal bv (Bv.of_bdd n f)) results
-      (* Canonicity after evictions: recomputing every result, and
-         rebuilding it from its truth table, lands on the same node. *)
-      && List.for_all (fun (bv, f) -> Bdd.equal f (Bv.to_bdd m bv)) results
+      && List.for_all
+           (fun (expected, got, no_node) -> expected = got && no_node)
+           !decisions
+      (* [diff] is native: the node of the conjunction with the
+         complement. *)
       && Array.for_all
            (fun f ->
              Array.for_all
                (fun g ->
-                 Bdd.equal (Bdd.and_ m f g)
-                   (Bdd.nor m (Bdd.not_ m f) (Bdd.not_ m g)))
+                 Bdd.equal (Bdd.diff m f g) (Bdd.and_ m f (Bdd.not_ m g)))
                fs)
-           fs)
+           fs
+      (* Canonicity after evictions: recomputing every result, and
+         rebuilding it from its truth table, lands on the same node. *)
+      && List.for_all (fun (bv, f) -> Bdd.equal f (Bv.to_bdd m bv)) results
+      &&
+      let fs = Array.sub fs 0 5 in
+      Array.for_all
+        (fun f ->
+          Array.for_all
+            (fun g ->
+              Bdd.equal (Bdd.and_ m f g) (Bdd.nor m (Bdd.not_ m f) (Bdd.not_ m g)))
+            fs)
+        fs)
+
+(* Node counts from one domain's reused id set, against a fresh
+   Hashtbl walk: lists of growing and shrinking DAGs in turn, so the
+   set is cleared after large counts and grown past its first size. *)
+let size_prop =
+  prop "size_list counts the shared DAG across reuses" ~count:10
+    QCheck2.Gen.int (fun seed ->
+      let st = Random.State.make [| seed |] in
+      let m = Bdd.manager () in
+      let reference fs =
+        let seen = Hashtbl.create 64 in
+        let rec go f =
+          match Bdd.view f with
+          | `Zero | `One -> ()
+          | `Node (_, lo, hi) ->
+              if not (Hashtbl.mem seen (Bdd.id f)) then begin
+                Hashtbl.add seen (Bdd.id f) ();
+                go lo;
+                go hi
+              end
+        in
+        List.iter go fs;
+        Hashtbl.length seen
+      in
+      List.for_all
+        (fun n ->
+          let fs =
+            List.init (1 + Random.State.int st 3) (fun _ ->
+                Bv.to_bdd m (random_bv st n))
+          in
+          Bdd.size_list fs = reference fs
+          && List.for_all (fun f -> Bdd.size f = reference [ f ]) fs)
+        [ 3; 12; 5; 13; 0; 8; 11; 2 ])
 
 let suite =
   basic_tests @ table_tests
   @ List.map
       (fun p -> QCheck_alcotest.to_alcotest ~long:false p)
-      (oracle_props @ [ eviction_prop ])
+      (oracle_props @ [ eviction_prop; size_prop ])

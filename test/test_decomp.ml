@@ -77,7 +77,7 @@ let classes_tests =
         let x = Bdd.var man 0 in
         let a = Isf.make man ~on:x ~dc:(Bdd.not_ man x) in
         let b = Isf.make man ~on:(Bdd.zero man) ~dc:x in
-        let j = Classes.join_isfs man [ a; b ] in
+        let j = Isf.join man [ a; b ] in
         check_bool "on = x" true (Bdd.equal (Isf.on j) x);
         check_bool "off = ~x" true (Bdd.equal (Isf.off man j) (Bdd.not_ man x)));
   ]
@@ -183,6 +183,41 @@ let numbering_props =
           (owns, Classes.count s, Classes.ids s)
         in
         projected = expanded);
+    QCheck2.Test.make
+      ~name:"cofactor_matrix through a score cache equals the matrix from the root"
+      ~count:150
+      QCheck2.Gen.(
+        triple
+          (list_size (int_range 1 3) (oneof [ gen_isf 7; gen_sparse_isf ]))
+          gen_bound bool)
+      (fun (isfs, bound, warm) ->
+        let expected = reference_node_of_vertex isfs bound in
+        let vecs = List.map (fun f -> Isf.cofactor_vector man f bound) isfs in
+        let matches info =
+          info.Classes.node_of_vertex = expected
+          && Classes.nnodes info = 1 + Array.fold_left max 0 expected
+          && List.for_all
+               (fun v ->
+                 List.for_all2 Isf.equal
+                   (Array.to_list info.Classes.node_cof.(expected.(v)))
+                   (List.map (fun vec -> vec.(v)) vecs))
+               (List.init (Array.length expected) Fun.id)
+        in
+        (* A warm cache is the driver's: the search has scored [bound],
+           so the matrix finds every vector it asks for. *)
+        let cache = Score_cache.create man in
+        if warm then ignore (Bound_select.score ~cache man isfs bound);
+        let stats = Score_cache.stats cache in
+        let lookups = stats.Stats.cof_lookups and hits = stats.Stats.cof_hits in
+        let cached = Classes.cofactor_matrix ~cache man isfs bound in
+        let asked =
+          List.length
+            (List.filter (fun f -> Classes.inter bound (Isf.support man f) <> []) isfs)
+        in
+        matches cached
+        && matches (Classes.cofactor_matrix man isfs bound)
+        && stats.Stats.cof_lookups - lookups = asked
+        && ((not warm) || stats.Stats.cof_hits - hits = asked));
     QCheck2.Test.make ~name:"cofactor_matrix numbers nodes as the Hashtbl did"
       ~count:150
       QCheck2.Gen.(pair (list_size (int_range 1 3) (gen_isf 7)) gen_bound)
@@ -198,6 +233,73 @@ let numbering_props =
                  (Array.to_list info.Classes.node_cof.(expected.(v)))
                  (List.map (fun vec -> vec.(v)) vecs))
              (List.init (Array.length expected) Fun.id));
+  ]
+
+(* The composition function as [Step] built it from the class off-sets
+   before the guarded join, kept as the oracle; [None] where it
+   raised. *)
+let old_compose vars codes cofs =
+  let on = ref (Bdd.zero man) and off = ref (Bdd.zero man) in
+  Array.iteri
+    (fun c code ->
+      let mt = Bdd.minterm_of_code man vars code in
+      on := Bdd.or_ man !on (Bdd.and_ man mt (Isf.on cofs.(c)));
+      off := Bdd.or_ man !off (Bdd.and_ man mt (Isf.off man cofs.(c))))
+    codes;
+  match Isf.of_on_off man ~on:!on ~off:!off with
+  | g -> Some g
+  | exception Invalid_argument _ -> None
+
+(* Alpha variables (above the inputs, in any order), a code per class —
+   shared and unused codes occur — and class cofactors on 0..6: random
+   ones, or don't-care relaxations of one function per code, with one
+   minterm perhaps flipped, so classes sharing a code are often but not
+   always compatible. *)
+let gen_composition =
+  let open QCheck2.Gen in
+  let* r = int_range 0 3 in
+  let* vars = shuffle_l (List.init r (fun k -> -(k + 1))) in
+  let* nclasses = int_range 1 6 in
+  let* codes = array_size (return nclasses) (int_bound ((1 lsl r) - 1)) in
+  let* related = bool in
+  let+ cofs =
+    if not related then
+      array_size (return nclasses) (oneof [ gen_isf 7; gen_sparse_isf ])
+    else
+      let+ d = int_range 1 9
+      and+ flip = opt (int_bound 127)
+      and+ seed = int in
+      let st = Random.State.make [| seed |] in
+      let per_code =
+        Array.init (1 lsl r) (fun _ -> Array.init 128 (fun _ -> Random.State.bool st))
+      in
+      Array.mapi
+        (fun c code ->
+          let h = per_code.(code) in
+          let dcs = Array.init 128 (fun _ -> Random.State.int st 10 < d) in
+          let value i = if c = 0 && flip = Some i then not h.(i) else h.(i) in
+          Isf.make man
+            ~on:(Bv.to_bdd man (Bv.of_fun 7 (fun i -> value i && not dcs.(i))))
+            ~dc:(Bv.to_bdd man (Bv.of_fun 7 (Array.get dcs))))
+        codes
+  in
+  (vars, codes, cofs)
+
+let compose_props =
+  [
+    QCheck2.Test.make
+      ~name:"the guarded join equals the off-set composition function"
+      ~count:300 gen_composition
+      (fun (vars, codes, cofs) ->
+        let joined =
+          match Step.compose man ~vars codes cofs with
+          | g -> Some g
+          | exception Invalid_argument _ -> None
+        in
+        match (joined, old_compose vars codes cofs) with
+        | None, None -> true
+        | Some a, Some b -> Isf.equal a b
+        | Some _, None | None, Some _ -> false);
   ]
 
 let encode_tests =
@@ -864,6 +966,7 @@ let suite =
     ]
   @ List.map
       (fun p -> QCheck_alcotest.to_alcotest ~long:false p)
-      (classes_props @ numbering_props @ encode_props @ score_cache_props
+      (classes_props @ numbering_props @ compose_props @ encode_props
+     @ score_cache_props
       @ score_reference_props
       @ [ step_recompose_prop ] @ driver_props)

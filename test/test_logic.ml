@@ -125,7 +125,7 @@ let isf_props =
         Isf.extends man (Isf.random_extension man f st) f);
     prop "join of f with itself is f" (gen_isf n) (fun pair ->
         let f = isf_of_pair pair in
-        Isf.equal f (Isf.join man f f));
+        Isf.equal f (Isf.join man [ f; f ]));
     prop "compatible is symmetric" QCheck2.Gen.(pair (gen_isf n) (gen_isf n))
       (fun (p1, p2) ->
         let a = isf_of_pair p1 and b = isf_of_pair p2 in
@@ -135,7 +135,7 @@ let isf_props =
       (fun (p1, p2) ->
         let a = isf_of_pair p1 and b = isf_of_pair p2 in
         if Isf.compatible man a b then begin
-          let j = Isf.join man a b in
+          let j = Isf.join man [ a; b ] in
           let st = Random.State.make [| 7 |] in
           let g = Isf.random_extension man j st in
           Isf.extends man g a && Isf.extends man g b
@@ -155,9 +155,121 @@ let isf_props =
         List.for_all (fun v -> v >= 0 && v < n) (Isf.support man f));
   ]
 
+(* The formulations over the off-set that [Isf] used before it asked
+   [Bdd.leq] about [on] and [up], kept as oracles. *)
+let old_off f = Bdd.not_ man (Bdd.or_ man (Isf.on f) (Isf.dc f))
+
+let old_support f =
+  List.sort_uniq compare (Bdd.support man (Isf.on f) @ Bdd.support man (old_off f))
+
+let old_compatible a b =
+  Bdd.is_zero (Bdd.and_ man (Isf.on a) (old_off b))
+  && Bdd.is_zero (Bdd.and_ man (Isf.on b) (old_off a))
+
+let old_extends g f =
+  Bdd.is_zero (Bdd.diff man (Isf.on f) g) && Bdd.is_zero (Bdd.and_ man g (old_off f))
+
+(* The binary join; [None] where it raised. *)
+let old_join a b =
+  if not (old_compatible a b) then None
+  else
+    let on = Bdd.or_ man (Isf.on a) (Isf.on b) in
+    let off = Bdd.or_ man (old_off a) (old_off b) in
+    Some (Isf.make man ~on ~dc:(Bdd.nor man on off))
+
+let isf_of_cells n ~on ~dc =
+  Isf.make man
+    ~on:(Bv.to_bdd man (Bv.of_fun n (fun i -> on i && not (dc i))))
+    ~dc:(Bv.to_bdd man (Bv.of_fun n dc))
+
+(* An ISF over [n] variables whose don't cares cover about [d] tenths
+   of the minterms, [d] in 1..9.  With [sparse], the on/off choice
+   reads only the variables of one random mask and the don't cares only
+   those of another, so the supports of the sets differ. *)
+let gen_isf_dc n =
+  let open QCheck2.Gen in
+  let+ d = int_range 1 9
+  and+ sparse = bool
+  and+ on_mask = int_bound ((1 lsl n) - 1)
+  and+ dc_mask = int_bound ((1 lsl n) - 1)
+  and+ seed = int in
+  let st = Random.State.make [| seed |] in
+  let ons = Array.init (1 lsl n) (fun _ -> Random.State.bool st) in
+  let dcs = Array.init (1 lsl n) (fun _ -> Random.State.int st 10 < d) in
+  let on_mask, dc_mask = if sparse then (on_mask, dc_mask) else (-1, -1) in
+  isf_of_cells n ~on:(fun i -> ons.(i land on_mask)) ~dc:(fun i -> dcs.(i land dc_mask))
+
+(* [k] ISFs: either independent, or don't-care relaxations of one
+   common function, one of which may have a minterm flipped — so
+   compatible families are frequent and incompatible ones differ from
+   them in one place. *)
+let gen_family n k =
+  let open QCheck2.Gen in
+  let* related = bool in
+  if not related then list_size (return k) (gen_isf_dc n)
+  else
+    let+ d = int_range 1 9
+    and+ flip = opt (int_bound ((1 lsl n) - 1))
+    and+ seed = int in
+    let st = Random.State.make [| seed |] in
+    let h = Array.init (1 lsl n) (fun _ -> Random.State.bool st) in
+    List.init k (fun idx ->
+        let dcs = Array.init (1 lsl n) (fun _ -> Random.State.int st 10 < d) in
+        let value i = if idx = 0 && flip = Some i then not h.(i) else h.(i) in
+        isf_of_cells n ~on:value ~dc:(Array.get dcs))
+
+let isf_identity_props =
+  let n = 6 in
+  let join l = match Isf.join man l with j -> Some j | exception Invalid_argument _ -> None in
+  let same a b =
+    match (a, b) with
+    | None, None -> true
+    | Some a, Some b -> Isf.equal a b
+    | Some _, None | None, Some _ -> false
+  in
+  [
+    prop "support, compatible and extends equal the off-set formulations"
+      ~count:300
+      QCheck2.Gen.(pair (gen_family n 2) (gen_fun n))
+      (fun (family, bv) ->
+        let a, b = (List.nth family 0, List.nth family 1) in
+        let g = Bv.to_bdd man bv in
+        let ext = Isf.random_extension man a (Random.State.make [| 3 |]) in
+        Isf.support man a = old_support a
+        && Isf.support man b = old_support b
+        && Isf.compatible man a b = old_compatible a b
+        && Isf.extends man g a = old_extends g a
+        && Isf.extends man ext a = old_extends ext a
+        && Isf.extends man ext b = old_extends ext b);
+    prop "binary join equals the off-set join" ~count:300 (gen_family n 2)
+      (fun family ->
+        let a, b = (List.nth family 0, List.nth family 1) in
+        same (join [ a; b ]) (old_join a b));
+    prop "a join of three or more raises exactly when a pair is incompatible"
+      ~count:300
+      QCheck2.Gen.(int_range 3 5 >>= gen_family n)
+      (fun family ->
+        let rec pairs = function
+          | [] -> []
+          | x :: rest -> List.map (fun y -> (x, y)) rest @ pairs rest
+        in
+        let compatible =
+          List.for_all (fun (a, b) -> old_compatible a b) (pairs family)
+        in
+        let folded =
+          List.fold_left
+            (fun acc f -> Option.bind acc (fun j -> old_join j f))
+            (Some (List.hd family)) (List.tl family)
+        in
+        let joined = join family in
+        Option.is_some joined = compatible && same joined folded);
+  ]
+
 let suite =
   bv_tests @ cover_tests @ isf_tests
-  @ List.map (fun p -> QCheck_alcotest.to_alcotest ~long:false p) (cover_props @ isf_props)
+  @ List.map
+      (fun p -> QCheck_alcotest.to_alcotest ~long:false p)
+      (cover_props @ isf_props @ isf_identity_props)
 
 (* Two-level minimization. *)
 let minimize_tests =

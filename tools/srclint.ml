@@ -28,6 +28,9 @@ let under dir path =
 let in_lib path = under "lib" path
 let in_mono path = under "lib/mono" path
 
+let decide =
+  "builds a BDD only to answer yes or no; ask Bdd.disjoint or Bdd.leq"
+
 let rules =
   [
     {
@@ -80,6 +83,21 @@ let rules =
       pattern = "Obj.magic";
       scope = (fun _ -> true);
       why = "unsound cast; there is always another way";
+    };
+    {
+      pattern = "is_zero (Bdd.and_";
+      scope = in_lib;
+      why = decide;
+    };
+    {
+      pattern = "is_zero (Bdd.diff";
+      scope = in_lib;
+      why = decide;
+    };
+    {
+      pattern = "is_one (Bdd.imp";
+      scope = in_lib;
+      why = decide;
     };
     {
       pattern = "failwith";
