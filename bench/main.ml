@@ -99,18 +99,20 @@ let table1 quick =
       if quick && List.mem e.Mcnc.name slow_circuits then
         skipped := label :: !skipped
       else begin
-        let m = Bdd.manager () in
-        let spec = e.Mcnc.build m in
-        let ii, ii_w, ii_a, ii_s =
-          with_run_stats (fun () ->
-              run_driver m (Mulop.config_of Mulop.Mulop_ii) spec)
+        (* each algorithm gets its own manager and spec, and its node
+           count is read before the verify adds nodes of its own *)
+        let run alg =
+          let m = Bdd.manager () in
+          let spec = e.Mcnc.build m in
+          let net, w, a, s =
+            with_run_stats (fun () -> run_driver m (Mulop.config_of alg) spec)
+          in
+          let nodes = Bdd.node_count m in
+          assert (Driver.verify m spec net);
+          (net, w, a, s, nodes)
         in
-        let dc, dc_w, dc_a, dc_s =
-          with_run_stats (fun () ->
-              run_driver m (Mulop.config_of Mulop.Mulop_dc) spec)
-        in
-        assert (Driver.verify m spec ii);
-        assert (Driver.verify m spec dc);
+        let ii, ii_w, ii_a, ii_s, ii_nodes = run Mulop.Mulop_ii in
+        let dc, dc_w, dc_a, dc_s, dc_nodes = run Mulop.Mulop_dc in
         let cii = Clb.clb_count Clb.First_fit ii in
         let cdc = Clb.clb_count Clb.First_fit dc in
         total_ii := !total_ii + cii;
@@ -118,13 +120,13 @@ let table1 quick =
         let gain =
           100.0 *. (1.0 -. (float_of_int cdc /. float_of_int (max 1 cii)))
         in
-        let nodes = Bdd.node_count m in
         runs :=
           mk_run ~algorithm:"mulop-dc" ~wall:dc_w ~alloc:dc_a ~stats:dc_s
             ~luts:(Network.stats dc).Network.lut_count ~clbs:cdc
-            ~bdd_nodes:nodes e.Mcnc.name
+            ~bdd_nodes:dc_nodes e.Mcnc.name
           :: mk_run ~algorithm:"mulopII" ~wall:ii_w ~alloc:ii_a ~stats:ii_s
-               ~luts:(Network.stats ii).Network.lut_count ~clbs:cii e.Mcnc.name
+               ~luts:(Network.stats ii).Network.lut_count ~clbs:cii
+               ~bdd_nodes:ii_nodes e.Mcnc.name
           :: !runs;
         rows :=
           row label

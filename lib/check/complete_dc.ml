@@ -23,12 +23,12 @@ let max_code_bits = 8
    stopping at the first round that reaches no new code, compared. *)
 let sim_rounds = 32
 
-(* One window LUT in the simulation: its table, the word slots its
+(* One window LUT in the simulation: its on-cubes, the word slots its
    fanins read in the A copy, and its own A slot; in the center's
    transitive fanout also its B slot and B fanin slots (the center's
    B word is the complement of its A word instead). *)
 type sim_node = {
-  tt : Bv.t;
+  on : Isop.cube array;
   fan_a : int array;
   slot_a : int;
   fan_b : int array;
@@ -44,7 +44,8 @@ type sim_node = {
    so its code is care.  Marks [reach] and [care] in place and returns
    how many codes still lack a care witness (the rounds stop early
    once none does). *)
-let simulate_window net w fanins ~reach ~care =
+let simulate_window ctx w fanins ~reach ~care =
+  let net = Window.network ctx in
   let n = max (Network.node_count net) 1 in
   let a_of = Array.make n (-1) and b_of = Array.make n (-1) in
   (* slots 0 and 1 hold the constants, then the leaves, then the
@@ -70,7 +71,7 @@ let simulate_window net w fanins ~reach ~care =
     Array.map
       (fun s ->
         match Network.view net s with
-        | `Lut (fs, tt) ->
+        | `Lut (fs, _) ->
             let id = Network.signal_id s in
             let fan_a = Array.map slot_of_a fs in
             a_of.(id) <- alloc ();
@@ -91,7 +92,14 @@ let simulate_window net w fanins ~reach ~care =
                 (fan_b, b_of.(id))
               end
             in
-            { tt; fan_a; slot_a = a_of.(id); fan_b; slot_b; is_center }
+            {
+              on = (Window.cover ctx s).Isop.on;
+              fan_a;
+              slot_a = a_of.(id);
+              fan_b;
+              slot_b;
+              is_center;
+            }
         | `Input _ | `Const _ -> assert false)
       (Window.internals w)
   in
@@ -109,12 +117,12 @@ let simulate_window net w fanins ~reach ~care =
     done;
     Array.iter
       (fun nd ->
-        let a = Dataflow.eval_lut nd.tt words nd.fan_a in
+        let a = Dataflow.eval_cover nd.on words nd.fan_a in
         words.(nd.slot_a) <- a;
         if nd.slot_b >= 0 then
           words.(nd.slot_b) <-
             (if nd.is_center then lnot a land Dataflow.all_lanes
-             else Dataflow.eval_lut nd.tt words nd.fan_b))
+             else Dataflow.eval_cover nd.on words nd.fan_b))
       nodes;
     let diff = ref 0 in
     for i = 0 to Array.length root_a - 1 do
@@ -134,8 +142,10 @@ let simulate_window net w fanins ~reach ~care =
 (* The window formula: copy A of the window's LUTs over free leaves,
    copy B of the center's transitive fanout with the center
    complemented, and the gated miter [sel -> some root differs].
-   Returns the formula, the selector and the center's fanin variables. *)
-let encode net w signal fanins =
+   Every LUT is written through its covers in [ctx].  Returns the
+   formula, the selector and the center's fanin variables. *)
+let encode ctx w signal fanins =
+  let net = Window.network ctx in
   let cnf = Cnf.create () in
   let n = max (Network.node_count net) 1 in
   let var_a = Array.make n (-1) in
@@ -160,8 +170,9 @@ let encode net w signal fanins =
       let id = Network.signal_id s in
       let v = Cnf.fresh cnf in
       (match Network.view net s with
-      | `Lut (fs, tt) ->
-          Encode.lut cnf ~out:v ~fanins:(Array.map var_of_a fs) tt
+      | `Lut (fs, _) ->
+          Encode.lut cnf ~out:v ~fanins:(Array.map var_of_a fs)
+            (Window.cover ctx s)
       | `Input _ | `Const _ -> assert false);
       var_a.(id) <- v)
     (Window.internals w);
@@ -177,7 +188,7 @@ let encode net w signal fanins =
            Encode.equiv_neg cnf var_a.(id) v
          else
            match Network.view net s with
-           | `Lut (fs, tt) ->
+           | `Lut (fs, _) ->
                let fv =
                  Array.map
                    (fun f ->
@@ -185,7 +196,7 @@ let encode net w signal fanins =
                      if var_b.(fid) >= 0 then var_b.(fid) else var_of_a f)
                    fs
                in
-               Encode.lut cnf ~out:v ~fanins:fv tt
+               Encode.lut cnf ~out:v ~fanins:fv (Window.cover ctx s)
            | `Input _ | `Const _ -> assert false);
         var_b.(id) <- v
       end)
@@ -225,10 +236,10 @@ let analyze_node ?(tfi_depth = 4) ?(tfo_depth = 4) ?(max_conflicts = 2000)
     let decided = ref true in
     check ();
     let open_codes =
-      if simulate then simulate_window net w fanins ~reach ~care else ncodes
+      if simulate then simulate_window ctx w fanins ~reach ~care else ncodes
     in
     if open_codes > 0 then begin
-      let cnf, sel, fanin_vars = encode net w signal fanins in
+      let cnf, sel, fanin_vars = encode ctx w signal fanins in
       let solver = Solver.create cnf in
       (* conflicts are counted per query, so a query the [check]
          callback aborts still reports its search *)

@@ -9,19 +9,20 @@
     computes it on a {!Window}, simulating first and querying a CDCL
     solver ({!Solver}) only for what simulation leaves open:
 
-    + simulate the window bit-parallel for a fixed number of rounds
-      ({!Dataflow.eval_lut}, leaves drawing {!Dataflow.noise}): copy A
-      is the window, copy B re-evaluates the center's transitive fanout
-      with the center complemented, and the roots are compared.  A
-      code some lane takes is reachable; a code taken by a lane where
+    + simulate the window bit-parallel for a fixed number of rounds,
+      every LUT evaluated as the OR of its on-cubes
+      ({!Dataflow.eval_cover}, leaves drawing {!Dataflow.noise}): copy
+      A is the window, copy B re-evaluates the center's transitive
+      fanout with the center complemented, and the roots are compared.
+      A code some lane takes is reachable; a code taken by a lane where
       a root differs is care — each lane is a model of the query below,
       so no query is needed for it;
     + if some code still lacks a care witness, encode the window's
-      LUTs (copy A, leaves free — {!Encode.lut}), re-encode the
-      center's transitive fanout with the center forced to the
-      complement (copy B, {!Encode.equiv_neg}), and XOR the copies at
-      every window root, gating the disjunction of the XORs behind a
-      selector variable.  One formula serves two query families: with
+      LUTs (copy A, leaves free — {!Encode.lut}, one clause per cube),
+      re-encode the center's transitive fanout with the center forced
+      to the complement (copy B, {!Encode.equiv_neg}), and XOR the
+      copies at every window root, gating the disjunction of the XORs
+      behind a selector variable.  One formula serves two query families: with
       the selector assumed {e true}, a model is a leaf assignment where
       flipping the center is observable; with it assumed {e false},
       only reachability is constrained;
@@ -33,6 +34,11 @@
     code is queried, which is the reference the tests compare against.
     Both modes compute the same tables: a lane is a model of the query
     it answers, and a query is only ever asked when no lane answered it.
+
+    Both the simulation and the encoding read each LUT through the
+    prime, irredundant covers {!Window.cover} keeps in the context, so
+    a LUT's covers are computed once per analysis however many windows
+    contain it.
 
     Per {!Window}'s soundness story, the computed care set
     over-approximates the true care set (so [care]'s zeros are true

@@ -258,12 +258,16 @@ module Iset = struct
   let is_empty t = Array.for_all (fun w -> w = 0) t
 end
 
-(* Does the local table provably ignore fanin [j]?  A single cofactor
-   pair comparison — the "single-cube" refinement over the purely
-   structural support. *)
-let vacuous tt j = Bv.equal (Bv.cofactor tt j false) (Bv.cofactor tt j true)
+(* The fanin positions a table depends on, read off its prime cover:
+   a table that ignores fanin [j] has no prime cube mentioning [j] (the
+   literal could be dropped), and one that depends on it has some cube
+   of every cover mentioning it.  Fanin [j] of a LUT whose mask lacks
+   bit [j] is vacuous — the refinement over the purely structural
+   support. *)
+let depends_of cubes = Array.fold_left (fun acc c -> acc lor Isop.care c) 0 cubes
+let vacuous depends j = (depends lsr j) land 1 = 0
 
-let support_domain env0 : (module DOMAIN with type fact = Iset.t) =
+let support_domain env0 ~on_cubes : (module DOMAIN with type fact = Iset.t) =
   let nin = env0.e_input_count in
   (module struct
     type fact = Iset.t
@@ -283,10 +287,11 @@ let support_domain env0 : (module DOMAIN with type fact = Iset.t) =
       match Network.view env.e_net s with
       | `Const _ -> Iset.empty nin
       | `Input nm -> Iset.add (Iset.empty nin) (input_index env nm)
-      | `Lut (fanins, tt) ->
+      | `Lut (fanins, _) ->
+          let d = depends_of on_cubes.(Network.signal_id s) in
           let acc = ref (Iset.empty nin) in
           Array.iteri
-            (fun j f -> if not (vacuous tt j) then acc := Iset.union !acc (lookup f))
+            (fun j f -> if not (vacuous d j) then acc := Iset.union !acc (lookup f))
             fanins;
           !acc
   end)
@@ -365,10 +370,10 @@ let noise round idx =
   let z = logxor z (shift_right_logical z 27) in
   to_int z land Stdlib.max_int
 
-(* Both walks below split the lanes [mask] by fanins [j ..], fanin [j]
-   giving bit [j] of the code: depth first over the table's rows,
-   pruning every subtree no lane reaches, so a round visits at most
-   [lanes] rows per level whatever the arity. *)
+(* Splits the lanes [mask] by fanins [j ..], fanin [j] giving bit [j]
+   of the code: depth first over the table's rows, pruning every
+   subtree no lane reaches, so a round visits at most [lanes] rows per
+   level whatever the arity. *)
 let rec split_codes words slots k j code mask f =
   if mask <> 0 then
     if j = k then f code mask
@@ -381,16 +386,25 @@ let rec split_codes words slots k j code mask f =
 let iter_codes words slots f =
   split_codes words slots (Array.length slots) 0 0 all_lanes f
 
-let rec eval_rows tt words slots k j code mask =
-  if mask = 0 then 0
-  else if j = k then if Bv.get tt code then mask else 0
-  else
-    let w = words.(slots.(j)) in
-    eval_rows tt words slots k (j + 1) code (mask land lnot w)
-    lor eval_rows tt words slots k (j + 1) (code lor (1 lsl j)) (mask land w)
-
-let eval_lut tt words slots =
-  eval_rows tt words slots (Array.length slots) 0 0 all_lanes
+(* The OR of the on-cubes, each the AND of its literals' words; a cube
+   stops reading fanins once no lane is left.  Complemented words set
+   the bits above the lanes, so the result is masked. *)
+let eval_cover cubes words slots =
+  let out = ref 0 in
+  for i = 0 to Array.length cubes - 1 do
+    let value = Isop.value cubes.(i) in
+    let lanes = ref (-1) and rest = ref (Isop.care cubes.(i)) and j = ref 0 in
+    while !rest <> 0 && !lanes <> 0 do
+      if !rest land 1 = 1 then begin
+        let w = words.(slots.(!j)) in
+        lanes := !lanes land (if (value lsr !j) land 1 = 1 then w else lnot w)
+      end;
+      rest := !rest lsr 1;
+      incr j
+    done;
+    out := !out lor !lanes
+  done;
+  !out land all_lanes
 
 (* Tracking reachable-code witnesses is only worth it where the SAT
    window could run at all; wider tables get no mask. *)
@@ -417,10 +431,19 @@ type t = {
 let analyze ?(sim_rounds = 4) ?input_env net =
   let e = env net in
   let n = Array.length e.e_rank in
+  (* every LUT's on-set cover, once per analysis: the support domain
+     reads its fanin dependence and the simulation evaluates it *)
+  let on_cubes = Array.make n [||] in
+  Array.iter
+    (fun s ->
+      match Network.view net s with
+      | `Lut (_, tt) -> on_cubes.(Network.signal_id s) <- Isop.cover tt true
+      | `Input _ | `Const _ -> ())
+    e.e_order;
   let (module T) = Ternary.domain ?input_env () in
   let module FT = Fixpoint (T) in
   let tern = FT.run e in
-  let (module S) = support_domain e in
+  let (module S) = support_domain e ~on_cubes in
   let module FS = Fixpoint (S) in
   let sup = FS.run e in
   let (module O) = obs_domain in
@@ -460,12 +483,12 @@ let analyze ?(sim_rounds = 4) ?input_env net =
               | Some true -> -1
               | Some false -> 0
               | None -> noise round (input_index e nm))
-        | `Lut (_, tt) ->
+        | `Lut _ ->
             let mask = codes.(id) in
             if Bytes.length mask > 0 then
               iter_codes words fanin_ids.(i) (fun code _ ->
                   Bytes.set mask code '\001');
-            words.(id) <- eval_lut tt words fanin_ids.(i));
+            words.(id) <- eval_cover on_cubes.(id) words fanin_ids.(i));
         let w = words.(id) land all_lanes in
         if w <> 0 then seen1.(id) <- true;
         if w <> all_lanes then seen0.(id) <- true)
@@ -479,9 +502,10 @@ let analyze ?(sim_rounds = 4) ?input_env net =
       (fun s ->
         match Network.view net s with
         | `Input _ | `Const _ -> None
-        | `Lut (fanins, tt) ->
+        | `Lut (fanins, _) ->
             let id = Network.signal_id s in
             let k = Array.length fanins in
+            let vacuous = vacuous (depends_of on_cubes.(id)) in
             let nf_const =
               match tern.FT.fact_of s with
               | Ternary.Zero -> Some false
@@ -489,20 +513,20 @@ let analyze ?(sim_rounds = 4) ?input_env net =
               | Ternary.Bot | Ternary.Any -> None
             in
             let nf_vacuous =
-              List.filter (fun j -> vacuous tt j) (List.init k Fun.id)
+              List.filter vacuous (List.init k Fun.id)
             in
             let nf_contained =
               if k < 2 then []
               else
                 List.filter
                   (fun j ->
-                    (not (vacuous tt j))
+                    (not (vacuous j))
                     &&
                     let sj = sup.FS.fact_of fanins.(j) in
                     let rest = ref (Iset.empty e.e_input_count) in
                     Array.iteri
                       (fun i f ->
-                        if i <> j && not (vacuous tt i) then
+                        if i <> j && not (vacuous i) then
                           rest := Iset.union !rest (sup.FS.fact_of f))
                       fanins;
                     (not (Iset.is_empty sj)) && Iset.subset sj !rest)

@@ -13,9 +13,9 @@
       proven constant is a sound [SEM003] fact;
     - {e functional support} (forward): an over-approximation of each
       node's primary-input support — the structural support minus
-      fanins the local truth table provably ignores (single-cube
-      cofactor checks), the source of the [SUP001]/[SUP002]
-      redundant-fanin diagnostics;
+      fanins the local truth table ignores (those no cube of the
+      table's prime cover mentions), the source of the
+      [SUP001]/[SUP002] redundant-fanin diagnostics;
     - {e observability} (backward): an under-approximation of
       observability as the set of primary outputs a node {e pointwise}
       drives — through chains of single-fanout arcs into
@@ -28,6 +28,10 @@
     certainly reachable, so a node whose codes are all witnessed and
     whose observability is proven can be skipped by the SAT fallback
     without losing a single finding.
+
+    Each analysis computes every LUT's on-set cover ({!Isop.cover})
+    once: the support domain reads the fanins it mentions and the
+    simulation evaluates it ({!eval_cover}).
 
     Every fact is {e sound} (never wrong, possibly missing): the
     screening tier is a pure observer, and disabling it
@@ -135,9 +139,13 @@ val noise : int -> int -> int
     splitmix-style hash of [(round, idx)] — no global state, the same
     bits on every run and platform. *)
 
-val eval_lut : Bv.t -> int array -> int array -> int
-(** [eval_lut tt words slots]: the output word of the table [tt] whose
-    fanin [j] reads [words.(slots.(j))], on every lane. *)
+val eval_cover : Isop.cube array -> int array -> int array -> int
+(** [eval_cover cubes words slots]: the output word, on every lane, of
+    the LUT whose on-set [cubes] covers ({!Isop.cover}) and whose
+    fanin [j] reads [words.(slots.(j))] — the OR of the cubes, each the
+    AND of its literals' words, with no bit set above the lanes.  This
+    is the one LUT evaluator of both simulations, and each computes a
+    LUT's cover once per analysis. *)
 
 val iter_codes : int array -> int array -> (int -> int -> unit) -> unit
 (** [iter_codes words slots f] calls [f code mask] once for every fanin

@@ -192,8 +192,12 @@ val audit_sat :
 (** The SAT twin of {!audit}: both networks Tseitin-encoded into one
     formula ({!Encode.of_network}), common inputs tied, one gated XOR
     miter per common output, one solver call per output.  A [Sat]
-    answer is an inequivalence with the model as counterexample
-    minterm; [Unsat] proves the output equal.  [dc_cubes_of_output]
+    answer is an inequivalence with the model as counterexample: the
+    [SEM007] message names some minterm inside the care set where the
+    two networks disagree, and when several do, which one it names
+    depends on the solver's search (the encoding, the clause order),
+    not on anything the caller can rely on.  [Unsat] proves the output
+    equal.  [dc_cubes_of_output]
     lists input cubes (partial assignments as [(input, value)] pairs)
     the specification does not care about for that output — excluded
     from the comparison, making the audit care-set-aware like the BDD

@@ -3,7 +3,10 @@ type ctx = {
   rank : int array;  (* signal id -> topological rank, -1 unreachable *)
   fanouts : int list array;  (* signal id -> LUT fanout ids (reachable) *)
   po_driver : bool array;  (* signal id -> drives a primary output *)
+  covers : Isop.t array;  (* signal id -> LUT covers, [no_cover] until used *)
 }
+
+let no_cover = { Isop.nvars = -1; on = [||]; off = [||] }
 
 let context net =
   let n = max (Network.node_count net) 1 in
@@ -22,9 +25,20 @@ let context net =
             (fun f -> fanouts.(Network.signal_id f) <- id :: fanouts.(Network.signal_id f))
             fanins);
   List.iter (fun (_, s) -> po_driver.(Network.signal_id s) <- true) (Network.outputs net);
-  { net; rank; fanouts; po_driver }
+  { net; rank; fanouts; po_driver; covers = Array.make n no_cover }
 
 let network ctx = ctx.net
+
+let cover ctx s =
+  let id = Network.signal_id s in
+  if ctx.covers.(id) != no_cover then ctx.covers.(id)
+  else
+    match Network.view ctx.net s with
+    | `Lut (_, tt) ->
+        let c = Isop.of_table tt in
+        ctx.covers.(id) <- c;
+        c
+    | `Input _ | `Const _ -> invalid_arg "Window.cover: not a LUT node"
 
 (* Highest density first; topological rank breaks ties, so the order
    is deterministic and degrades to plain topological order when the

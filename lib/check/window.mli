@@ -25,15 +25,24 @@
 
 type ctx
 (** Per-network precomputation (fanout lists, topological ranks,
-    output-driver flags) shared by every window built on it. *)
+    output-driver flags) shared by every window built on it, and the
+    covers of the LUTs those windows read. *)
 
 val context : Network.t -> ctx
 (** One pass over the network ({!Network.iter_cone} order).  The
     network must not be mutated while windows built from this context
-    are in use. *)
+    are in use.  A context lives for one analysis: the deep lint
+    builds one, and the rewrite loop builds one per pass. *)
 
 val network : ctx -> Network.t
 (** The network the context was built from. *)
+
+val cover : ctx -> Network.signal -> Isop.t
+(** The prime, irredundant covers of a LUT's on-set and off-set
+    ({!Isop.of_table}), computed on the first request and kept in the
+    context, so every window, simulation and encoding of the analysis
+    reads one cover per LUT.
+    @raise Invalid_argument when the signal is not a LUT. *)
 
 val order_by_density :
   ctx ->

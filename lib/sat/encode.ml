@@ -1,20 +1,26 @@
-let lut cnf ~out ~fanins tt =
+(* The clause of one cube [q] of a LUT's covers: if the fanins satisfy
+   [q], [out] takes [b] (1 for an on-cube, 0 for an off-cube).  Written
+   as a disjunction, each literal of [q] appears complemented.  Literal
+   order: fanin [k-1] down to fanin [0], then the output. *)
+let cube_clause cnf buf ~out ~fanins b q =
+  let care = Isop.care q and value = Isop.value q in
+  let n = ref 0 in
+  for j = Array.length fanins - 1 downto 0 do
+    if (care lsr j) land 1 = 1 then begin
+      buf.(!n) <- Cnf.lit_of_bool fanins.(j) ((value lsr j) land 1 = 0);
+      incr n
+    end
+  done;
+  buf.(!n) <- Cnf.lit_of_bool out b;
+  Cnf.add_lits cnf buf (!n + 1)
+
+let lut cnf ~out ~fanins cover =
   let k = Array.length fanins in
-  if Bv.nvars tt <> k then
-    invalid_arg "Encode.lut: truth-table arity does not match fanin count";
-  (* One clause per fanin code [c]: if the fanins spell [c], the output
-     must take [tt(c)].  Written as a disjunction, each fanin literal
-     takes the polarity *opposite* to its bit in [c].  Literal order:
-     fanin [k-1] down to fanin [0], then the output. *)
+  if cover.Isop.nvars <> k then
+    invalid_arg "Encode.lut: cover arity does not match fanin count";
   let buf = Array.make (k + 1) 0 in
-  for c = 0 to (1 lsl k) - 1 do
-    for j = 0 to k - 1 do
-      let bit = (c lsr j) land 1 = 1 in
-      buf.(k - 1 - j) <- Cnf.lit_of_bool fanins.(j) (not bit)
-    done;
-    buf.(k) <- Cnf.lit_of_bool out (Bv.get tt c);
-    Cnf.add_lits cnf buf (k + 1)
-  done
+  Array.iter (fun q -> cube_clause cnf buf ~out ~fanins true q) cover.Isop.on;
+  Array.iter (fun q -> cube_clause cnf buf ~out ~fanins false q) cover.Isop.off
 
 let constant cnf v b = Cnf.add_clause cnf [ Cnf.lit_of_bool v b ]
 
@@ -52,7 +58,7 @@ let of_network cnf net =
               if x < 0 then
                 invalid_arg "Encode.of_network: fanin outside the cone")
             fv;
-          lut cnf ~out:v ~fanins:fv tt);
+          lut cnf ~out:v ~fanins:fv (Isop.of_table tt));
   (* inputs no output depends on sit outside every cone; they still get
      (free) variables so [input_vars] is total *)
   List.iter

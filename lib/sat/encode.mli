@@ -1,22 +1,29 @@
 (** Tseitin encoding of LUT networks into CNF.
 
-    The bridge from {!Network.t} to the solver.  A [k]-input LUT with
-    truth table [tt] becomes [2^k] clauses, one per fanin code [c]:
-    the clause rules out "fanins spell [c] but the output disagrees
-    with [tt(c)]".  This is both directions of the Tseitin
-    biconditional at once, so the encoding is {e functional}: in every
-    model the LUT variables are determined by the input variables.
+    The bridge from {!Network.t} to the solver.  A LUT is read through
+    its prime, irredundant covers ({!Isop.t}): every on-cube [q] gives
+    the clause "[q] implies the output", every off-cube the clause
+    "[q] implies its complement".  The on-cubes cover exactly the
+    table's ones and the off-cubes exactly its zeros, so together the
+    clauses are both directions of the Tseitin biconditional and the
+    encoding is {e functional}: in every model the LUT variables are
+    determined by the input variables.  They define the same relation
+    as one clause per table row would, in at most [2^k] clauses (one
+    per cube) and usually far fewer and shorter ones.
 
     Two entry points: the node-level primitives ({!lut}, {!equiv_neg},
     {!xor_var}, {!constant}) for callers that assemble windows or
     miters themselves (see [Check.Window]), and {!of_network} for
     whole-network encoding (the SAT equivalence audit). *)
 
-val lut : Cnf.t -> out:Cnf.var -> fanins:Cnf.var array -> Bv.t -> unit
-(** Constrain [out] to be the LUT of [fanins] under the given truth
-    table (fanin [j] = truth-table variable [j], as in {!Network.view}).
-    [2^k] clauses of [k+1] literals.
-    @raise Invalid_argument when the table arity differs from the
+val lut : Cnf.t -> out:Cnf.var -> fanins:Cnf.var array -> Isop.t -> unit
+(** Constrain [out] to be the LUT of [fanins] whose table has the given
+    covers (fanin [j] = table variable [j], as in {!Network.view}): one
+    clause per cube, on-cubes first, each clause written through one
+    reused buffer ({!Cnf.add_lits}).  Callers that encode a LUT more
+    than once (the SAT windows) compute its covers once and pass them
+    to every call.
+    @raise Invalid_argument when the covers' arity differs from the
     fanin count. *)
 
 val constant : Cnf.t -> Cnf.var -> bool -> unit
@@ -41,7 +48,8 @@ val of_network : Cnf.t -> Network.t -> env
     order): inputs become free variables, constants pinned variables,
     LUTs {!lut}-constrained ones.  Multiple networks may share one
     [Cnf.t] (each call allocates fresh variables), which is how the
-    equivalence miter is built. *)
+    equivalence miter is built.  Each LUT's covers are computed while
+    that LUT is encoded and are not kept. *)
 
 val var_of_signal : env -> Network.signal -> Cnf.var
 (** @raise Invalid_argument for a signal outside the encoded cone. *)

@@ -32,13 +32,18 @@ type clause = int array
    keeps its asserted literal at position 0 (propagation preserves
    this: a clause whose first watch is true is never reordered). *)
 
+(* The reason of a decision, an assumption, a root fact or an
+   unassigned variable: compared physically, so recording a reason
+   allocates nothing. *)
+let no_reason : clause = [||]
+
 type outcome = Sat | Unsat | Unknown of string
 
 type t = {
   nvars : int;
   assigns : int array;  (* per var: -1 unassigned / 0 false / 1 true *)
   level : int array;
-  reason : clause option array;
+  reason : clause array;  (* [no_reason] unless implied by a clause *)
   activity : float array;
   polarity : bool array;  (* saved phase, used as the decision value *)
   heap : int array;  (* max-heap of variables by activity *)
@@ -169,7 +174,7 @@ let cancel_until t lvl =
       let v = Cnf.var_of t.trail.(i) in
       t.polarity.(v) <- t.assigns.(v) = 1;
       t.assigns.(v) <- -1;
-      t.reason.(v) <- None;
+      t.reason.(v) <- no_reason;
       heap_insert t v
     done;
     t.trail_size <- t.trail_lim.(lvl);
@@ -227,7 +232,7 @@ let propagate t =
             confl := Some c;
             t.qhead <- t.trail_size
           end
-          else unchecked_enqueue t first (Some c)
+          else unchecked_enqueue t first c
         end
       end
     done;
@@ -250,7 +255,8 @@ let analyze t confl =
   let index = ref (t.trail_size - 1) in
   let finished = ref false in
   while not !finished do
-    let c = match !confl with Some c -> c | None -> assert false in
+    let c = !confl in
+    assert (c != no_reason);
     (* skip position 0 of a reason clause: it is the asserted [p] *)
     let start = if !p < 0 then 0 else 1 in
     for k = start to Array.length c - 1 do
@@ -293,12 +299,12 @@ let analyze t confl =
   (out, !bj)
 
 let attach_learnt t c =
-  if Array.length c = 1 then unchecked_enqueue t c.(0) None
+  if Array.length c = 1 then unchecked_enqueue t c.(0) no_reason
   else begin
     Vec.push t.watches.(c.(0)) c;
     Vec.push t.watches.(c.(1)) c;
     t.n_learned <- t.n_learned + 1;
-    unchecked_enqueue t c.(0) (Some c)
+    unchecked_enqueue t c.(0) c
   end
 
 (* ---- clause addition (initial import and incremental) ---- *)
@@ -360,7 +366,7 @@ let add_slice t lits off len =
       match !m with
       | 0 -> t.ok <- false
       | 1 ->
-          unchecked_enqueue t a.(0) None;
+          unchecked_enqueue t a.(0) no_reason;
           if propagate t <> None then t.ok <- false
       | m ->
           let c = Array.sub a 0 m in
@@ -385,7 +391,7 @@ let create cnf =
       nvars = n;
       assigns = Array.make (max n 1) (-1);
       level = Array.make (max n 1) 0;
-      reason = Array.make (max n 1) None;
+      reason = Array.make (max n 1) no_reason;
       activity = Array.make (max n 1) 0.0;
       polarity = Array.make (max n 1) false;
       heap = Array.make (max n 1) 0;
@@ -491,7 +497,7 @@ let solve ?(assumptions = []) ?max_conflicts ?max_decisions
                  conflict refutes the assumptions themselves *)
               result := Some Unsat
             else begin
-              let learnt, bj = analyze t (Some confl) in
+              let learnt, bj = analyze t confl in
               cancel_until t bj;
               attach_learnt t learnt;
               var_decay t;
@@ -508,7 +514,7 @@ let solve ?(assumptions = []) ?max_conflicts ?max_decisions
               | 0 -> result := Some Unsat
               | _ ->
                   new_level t;
-                  unchecked_enqueue t a None
+                  unchecked_enqueue t a no_reason
             end
             else begin
               match over () with
@@ -523,7 +529,7 @@ let solve ?(assumptions = []) ?max_conflicts ?max_decisions
                       new_level t;
                       unchecked_enqueue t
                         (Cnf.lit_of_bool v t.polarity.(v))
-                        None)
+                        no_reason)
             end
       done;
       match !result with

@@ -486,15 +486,47 @@ let pure_observer =
       && a.Semantics.coverage.Semantics.df_facts
          = b.Semantics.coverage.Semantics.df_facts)
 
-let props = [ ternary_sound; vacuous_sound; obs_sound; pure_observer ]
+(* The cube evaluator against the table, lane by lane: the words are
+   arbitrary ints (bits above the 62 lanes included), read through
+   reversed slots, and the result must be the table's value on every
+   lane and 0 above them. *)
+let eval_cover_matches_table =
+  QCheck2.Test.make ~name:"eval_cover equals Bv.get on every lane (0-8 inputs)"
+    ~count:300
+    QCheck2.Gen.(
+      let* k = int_range 0 8 in
+      let* bits = list_size (return (1 lsl k)) bool in
+      let+ words = list_size (return (k + 1)) int in
+      let arr = Array.of_list bits in
+      (Bv.of_fun k (fun i -> arr.(i)), Array.of_list words))
+    (fun (table, words) ->
+      let k = Bv.nvars table in
+      let slots = Array.init k (fun j -> k - j) in
+      let expect = ref 0 in
+      for lane = 0 to 61 do
+        let code = ref 0 in
+        for j = 0 to k - 1 do
+          if (words.(slots.(j)) lsr lane) land 1 = 1 then
+            code := !code lor (1 lsl j)
+        done;
+        if Bv.get table !code then expect := !expect lor (1 lsl lane)
+      done;
+      Dataflow.eval_cover (Isop.cover table true) words slots = !expect)
+
+let props =
+  [
+    ternary_sound;
+    vacuous_sound;
+    obs_sound;
+    pure_observer;
+    eval_cover_matches_table;
+  ]
 
 (* The shipped example circuits under deep lint: with and without
    screening the findings are identical, and with it off nothing is
-   screened.  The test's dune stanza copies the circuits next to the
-   test directory. *)
-let examples_dir = "../examples/circuits"
-
+   screened. *)
 let test_examples_pure_observer () =
+  let examples_dir = Paths.examples_dir () in
   let blifs =
     Sys.readdir examples_dir |> Array.to_list
     |> List.filter (fun f -> Filename.check_suffix f ".blif")

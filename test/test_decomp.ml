@@ -907,9 +907,8 @@ let clb_tests =
 (* The merge graph reads each LUT's fanins once and counts distinct
    inputs by a merge walk; its edges must be exactly the pairs the
    pairwise rule accepts, on real decomposed networks of every size. *)
-let examples_dir = "../examples/circuits"
-
 let test_merge_graph_matches_mergeable () =
+  let examples_dir = Paths.examples_dir () in
   let files =
     Sys.readdir examples_dir |> Array.to_list
     |> List.filter (fun f ->

@@ -265,11 +265,84 @@ let isf_identity_props =
         Option.is_some joined = compatible && same joined folded);
   ]
 
+(* Prime, irredundant covers, with Bv as the oracle.  [mem_raw] tests a
+   cube given by its masks, so a cube with a literal dropped can be
+   tested too; minterm bit [j] is variable [j], as in Bv. *)
+let mem_raw care value m = m land care = value
+let mem c m = mem_raw (Isop.care c) (Isop.value c) m
+
+(* [cubes] covers exactly the minterms where [tt] is [phase], each cube
+   is prime (dropping a literal makes it leave that set) and none is
+   redundant (dropping it uncovers a minterm). *)
+let isop_cover_ok tt phase cubes =
+  let rows = 1 lsl Bv.nvars tt in
+  let in_set m = Bv.get tt m = phase in
+  let covered_by m = List.filter (fun c -> mem c m) (Array.to_list cubes) in
+  let exact = List.for_all (fun m -> in_set m = (covered_by m <> [])) (List.init rows Fun.id) in
+  let inside care value =
+    List.for_all (fun m -> (not (mem_raw care value m)) || in_set m) (List.init rows Fun.id)
+  in
+  let prime c =
+    let care = Isop.care c and value = Isop.value c in
+    value land lnot care = 0
+    && List.for_all
+         (fun j ->
+           (care lsr j) land 1 = 0
+           ||
+           let bit = 1 lsl j in
+           not (inside (care land lnot bit) (value land lnot bit)))
+         (List.init (Bv.nvars tt) Fun.id)
+  in
+  let owns c =
+    List.exists (fun m -> covered_by m = [ c ]) (List.init rows Fun.id)
+  in
+  exact && Array.for_all prime cubes && Array.for_all owns cubes
+
+let isop_ok tt =
+  let c = Isop.of_table tt in
+  c.Isop.nvars = Bv.nvars tt
+  && c.Isop.on = Isop.cover tt true
+  && isop_cover_ok tt true c.Isop.on
+  && isop_cover_ok tt false c.Isop.off
+  && Array.length c.Isop.on + Array.length c.Isop.off <= 1 lsl Bv.nvars tt
+
+let isop_tests =
+  [
+    Alcotest.test_case "isop: every table of at most 3 inputs" `Quick
+      (fun () ->
+        for n = 0 to 3 do
+          for bits = 0 to (1 lsl (1 lsl n)) - 1 do
+            let tt = Bv.of_fun n (fun m -> (bits lsr m) land 1 = 1) in
+            if not (isop_ok tt) then
+              Alcotest.failf "n=%d table %a" n Bv.pp tt
+          done
+        done);
+    Alcotest.test_case "isop: and, or, xor and constants" `Quick (fun () ->
+        let n_cubes tt = Array.length (Isop.cover tt true) in
+        let f3 f = Bv.of_fun 3 f in
+        Alcotest.(check int) "and: one cube" 1 (n_cubes (f3 (fun m -> m = 7)));
+        Alcotest.(check int) "or: three cubes" 3 (n_cubes (f3 (fun m -> m <> 0)));
+        Alcotest.(check int) "xor: four minterms" 4
+          (n_cubes (f3 (fun m -> (m lxor (m lsr 1) lxor (m lsr 2)) land 1 = 1)));
+        Alcotest.(check int) "zero: no cube" 0 (n_cubes (Bv.create 4 false));
+        let one = Isop.cover (Bv.create 4 true) true in
+        Alcotest.(check (list int)) "one: the empty cube" [ 0 ]
+          (Array.to_list (Array.map Isop.care one)));
+  ]
+
+let isop_props =
+  [
+    prop "isop covers are exact, prime and irredundant (0-8 inputs)"
+      ~count:300
+      QCheck2.Gen.(int_range 0 8 >>= gen_fun)
+      isop_ok;
+  ]
+
 let suite =
-  bv_tests @ cover_tests @ isf_tests
+  bv_tests @ cover_tests @ isf_tests @ isop_tests
   @ List.map
       (fun p -> QCheck_alcotest.to_alcotest ~long:false p)
-      (cover_props @ isf_props @ isf_identity_props)
+      (cover_props @ isf_props @ isf_identity_props @ isop_props)
 
 (* Two-level minimization. *)
 let minimize_tests =

@@ -76,17 +76,18 @@ let cnf_tests =
           && String.sub s 0 (String.length prefix) = prefix);
         (* The whole text of a formula with an AND-LUT block, a duplicate
            literal and a tautology: clauses are stored as given, in
-           insertion order — a LUT row lists its fanins from the last
-           down, then the output. *)
+           insertion order — a LUT clause lists its cube's fanins from
+           the last down, then the output; the AND's one on-cube comes
+           before its two off-cubes. *)
         let cnf = Cnf.create () in
         let a = Cnf.fresh cnf and b = Cnf.fresh cnf and c = Cnf.fresh cnf in
-        Encode.lut cnf ~out:c ~fanins:[| a; b |] (Bv.of_fun 2 (fun i -> i = 3));
+        Encode.lut cnf ~out:c ~fanins:[| a; b |]
+          (Isop.of_table (Bv.of_fun 2 (fun i -> i = 3)));
         Cnf.add_clause cnf [ Cnf.pos a; Cnf.pos a; Cnf.neg b ];
         Cnf.add_clause cnf [ Cnf.pos a; Cnf.neg c; Cnf.neg a ];
         Alcotest.(check string)
           "full text"
-          "p cnf 3 6\n2 1 -3 0\n2 -1 -3 0\n-2 1 -3 0\n-2 -1 3 0\n1 1 -2 0\n\
-           1 -3 -1 0\n"
+          "p cnf 3 5\n-2 -1 3 0\n2 -3 0\n1 -3 0\n1 1 -2 0\n1 -3 -1 0\n"
           (Format.asprintf "%a" Cnf.pp cnf));
   ]
 
@@ -224,7 +225,7 @@ let encode_props =
   [
     prop "lut clauses define exactly the truth table" ~count:200
       (let open QCheck2.Gen in
-       let* k = int_range 0 4 in
+       let* k = int_range 0 8 in
        let+ bits = list_size (return (1 lsl k)) bool in
        let arr = Array.of_list bits in
        Bv.of_fun k (fun i -> arr.(i)))
@@ -233,10 +234,11 @@ let encode_props =
         let cnf = Cnf.create () in
         let fanins = Array.init k (fun _ -> Cnf.fresh cnf) in
         let out = Cnf.fresh cnf in
-        Encode.lut cnf ~out ~fanins tt;
+        Encode.lut cnf ~out ~fanins (Isop.of_table tt);
+        (* one clause per cube, never more than the table has rows *)
+        let ok = ref (Cnf.nclauses cnf <= 1 lsl k) in
         let s = Solver.create cnf in
         (* for every input code, the forced output is the table entry *)
-        let ok = ref true in
         for c = 0 to (1 lsl k) - 1 do
           let assum =
             List.init k (fun j ->

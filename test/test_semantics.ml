@@ -389,6 +389,103 @@ let windowed_tests =
         in
         check_int "no query with the pre-pass" 0 (run true);
         check_int "one query per code without it" 4 (run false));
+    Alcotest.test_case "a 16-input LUT is read through its covers" `Quick
+      (fun () ->
+        (* w, a 16-input LUT whose last fanin is vacuous, sits between
+           a = and(x0, x1) and the outputs z = or(w, x0) and
+           y = and(w, x1).  Flipping a flips w on some assignment of
+           its other fanins; z sees w only where x0 = 0 and y only
+           where x1 = 1, so a's one don't care is x0 = 1, x1 = 0
+           (code 1).  w's table is parity, then a random table, over
+           its first 15 fanins. *)
+        let k = 16 in
+        let low = (1 lsl (k - 1)) - 1 in
+        let rs = Random.State.make [| k |] in
+        let random = Bv.of_fun (k - 1) (fun _ -> Random.State.bool rs) in
+        let parity m =
+          let rec go m = if m = 0 then false else (m land 1 = 1) <> go (m lsr 1) in
+          go m
+        in
+        List.iter
+          (fun (name, f) ->
+            let net = Network.create () in
+            let x =
+              Array.init (k + 1) (fun i ->
+                  Network.add_input net (Printf.sprintf "x%d" i))
+            in
+            let a = Network.and_gate net x.(0) x.(1) in
+            let w = Network.and_gate net a x.(2) in
+            let table = Bv.of_fun k (fun m -> f (m land low)) in
+            Network.Unsafe.set_lut net w
+              ~fanins:(Array.init k (fun j -> if j = 0 then a else x.(j + 1)))
+              ~tt:table;
+            (* the simulations' evaluator on w's cover, lane by lane *)
+            let words =
+              Array.init k (fun _ ->
+                  Random.State.bits rs
+                  lor (Random.State.bits rs lsl 30)
+                  lor (Random.State.bits rs lsl 60))
+            in
+            let expect = ref 0 in
+            for lane = 0 to 61 do
+              let code = ref 0 in
+              Array.iteri
+                (fun j wd ->
+                  if (wd lsr lane) land 1 = 1 then code := !code lor (1 lsl j))
+                words;
+              if Bv.get table !code then expect := !expect lor (1 lsl lane)
+            done;
+            check_int (name ^ ": eval_cover on every lane") !expect
+              (Dataflow.eval_cover (Isop.cover table true) words
+                 (Array.init k Fun.id));
+            Network.set_output net "z" (Network.or_gate net w x.(0));
+            Network.set_output net "y" (Network.and_gate net w x.(1));
+            (match Dataflow.fact_of (Dataflow.analyze net) w with
+            | None -> Alcotest.fail "no fact for w"
+            | Some nf ->
+                check_bool (name ^ ": only the last fanin is vacuous") true
+                  (nf.Dataflow.nf_vacuous = [ k - 1 ]));
+            let ctx = Window.context net in
+            let tables simulate s =
+              let counters = Complete_dc.counters () in
+              match Complete_dc.analyze_node ~simulate ~counters ctx s with
+              | None -> Alcotest.fail "a 2-input node is analyzed"
+              | Some r ->
+                  check_bool (name ^ ": decided") true r.Complete_dc.decided;
+                  (r.Complete_dc.care, r.Complete_dc.reachable)
+            in
+            List.iter
+              (fun s ->
+                let care, reach = tables true s in
+                let care', reach' = tables false s in
+                check_bool (name ^ ": the simulation agrees with the solver")
+                  true
+                  (Bv.equal care care' && Bv.equal reach reach'))
+              (a :: List.map snd (Network.outputs net));
+            let care, reach = tables true a in
+            check_bool (name ^ ": a's care set is every code but 1") true
+              (Bv.equal care (tt "1011"));
+            check_int (name ^ ": every code of a is reachable") 4
+              (Bv.count_ones reach);
+            let r =
+              Semantics.analyze_report
+                ~check:(fun () -> raise (Careflow.Cutoff "test budget"))
+                (Bdd.manager ()) ~var_of_input:(var_of_input_of net) net
+            in
+            check_bool (name ^ ": SUP001 names the vacuous fanin") true
+              (List.exists
+                 (fun f ->
+                   f.Diagnostic.code = "SUP001"
+                   && contains f.Diagnostic.message "position 15")
+                 r.Semantics.findings);
+            (* a window center has at most 8 fanins, so w alone is
+               left out *)
+            let c = r.Semantics.coverage in
+            check_int (name ^ ": w alone is truncated") 1
+              c.Semantics.truncated_nodes;
+            check_int (name ^ ": every other node is windowed")
+              (c.Semantics.total_nodes - 1) c.Semantics.windowed_nodes)
+          [ ("parity", parity); ("random", Bv.get random) ]);
     Alcotest.test_case "clean exact run reports exact coverage" `Quick
       (fun () ->
         let net = sem001_net () in
@@ -446,6 +543,95 @@ let sat_audit_tests =
         check_bool "missing from golden" true
           (has ~loc:"g" "SEM007" r.Semantics.audit_findings));
   ]
+
+(* The SAT audit reads its SEM007 witness from a solver model, so which
+   disagreeing minterm it names depends on the encoding.  Whatever it
+   names must be a real disagreement inside the care set: both networks
+   are evaluated there.  The outputs it refutes must also be exactly
+   the ones the BDD audit refutes. *)
+let witness_of msg =
+  let marker = "e.g. at " in
+  let n = String.length marker in
+  let rec find i =
+    if i + n > String.length msg then Alcotest.fail ("no witness in: " ^ msg)
+    else if String.sub msg i n = marker then
+      String.sub msg (i + n) (String.length msg - i - n)
+    else find (i + 1)
+  in
+  List.map
+    (fun a ->
+      match String.split_on_char '=' a with
+      | [ name; v ] -> (name, v = "1")
+      | _ -> Alcotest.fail ("bad assignment " ^ a))
+    (String.split_on_char ' ' (find 0))
+
+let sat_audit_witness_prop =
+  QCheck2.Test.make ~name:"audit_sat witnesses are real disagreements"
+    ~count:60
+    QCheck2.Gen.(
+      triple (int_range 0 100_000) (int_range 0 100_000)
+        (list_size (int_range 0 2)
+           (list_size (int_range 1 3) (pair (int_range 0 5) bool))))
+    (fun (seed_g, seed_c, dc) ->
+      let net seed =
+        Randnet.cones ~ninputs:6 ~noutputs:3 ~window:5 ~gates_per_output:5
+          ~seed ()
+      in
+      let golden = net seed_g and candidate = net seed_c in
+      let inputs = List.init 6 (Printf.sprintf "x%d") in
+      let dc_cubes =
+        List.map (List.map (fun (i, b) -> (Printf.sprintf "x%d" i, b))) dc
+      in
+      let r =
+        Semantics.audit_sat
+          ~dc_cubes_of_output:(fun _ -> dc_cubes)
+          ~golden ~candidate inputs
+      in
+      let refuted =
+        List.filter_map
+          (fun f ->
+            if f.Diagnostic.code <> "SEM007" then None
+            else
+              let at = witness_of f.Diagnostic.message in
+              let value name = List.assoc name at in
+              let out = Option.get f.Diagnostic.loc in
+              let in_dc =
+                List.exists
+                  (List.for_all (fun (name, b) -> value name = b))
+                  dc_cubes
+              in
+              let g = List.assoc out (Network.eval golden value)
+              and c = List.assoc out (Network.eval candidate value) in
+              if in_dc || g = c then
+                QCheck2.Test.fail_reportf "%s: no disagreement at %s" out
+                  f.Diagnostic.message;
+              Some out)
+          r.Semantics.audit_findings
+      in
+      let m = Bdd.manager () in
+      let vars = List.mapi (fun k name -> (name, k)) inputs in
+      let care =
+        Bdd.not_ m
+          (Bdd.or_list m
+             (List.map
+                (fun cube ->
+                  Bdd.and_list m
+                    (List.map
+                       (fun (name, b) ->
+                         let v = List.assoc name vars in
+                         if b then Bdd.var m v else Bdd.nvar m v)
+                       cube))
+                dc_cubes))
+      in
+      let bdd_refuted =
+        List.filter_map
+          (fun f -> if f.Diagnostic.code = "SEM007" then f.Diagnostic.loc else None)
+          (Semantics.audit ~care_of_output:(fun _ -> care) m ~inputs:vars
+             ~golden ~candidate)
+      in
+      r.Semantics.outputs_unknown = 0
+      && r.Semantics.outputs_refuted = List.length refuted
+      && List.sort compare refuted = List.sort compare bdd_refuted)
 
 let props =
   [
@@ -610,4 +796,4 @@ let suite =
   @ sat_audit_tests
   @ List.map
       (fun p -> QCheck_alcotest.to_alcotest ~long:false p)
-      (props @ [ brute_force_prop ])
+      (props @ [ brute_force_prop; sat_audit_witness_prop ])
