@@ -156,6 +156,8 @@ let op_diff = 6
 let op_disjoint = 7
 let op_leq = 8
 let op_equal_on = 9
+let op_equal_cof = 10
+let op_leq_cof = 11
 
 (* The operation code sits in the low [op_bits] of a key's first int. *)
 let op_bits = 4
@@ -315,6 +317,63 @@ let rec leq m f g =
       in
       cache_add m k0 gi 0 (verdict b);
       b
+
+(* Questions about the cofactors [f|v=a] and [g|v=b], asked without
+   building them.  [c = 2a + b] carries both bits.  Above [v] the
+   operands are walked in lockstep; at [v] each descends into its fixed
+   branch; below [v] a cofactor is its operand. *)
+let branch f v b = if b then cof_hi f v else cof_lo f v
+
+(* Is f|v=a = g|v=b?  Below [v], canonicity makes it an id comparison. *)
+let rec equal_cof_rec m v c f g =
+  let lf = level f and lg = level g in
+  let u = if lf <= lg then lf else lg in
+  if u > v then id f = id g
+  else if u = v then id (branch f v (c >= 2)) = id (branch g v (c land 1 = 1))
+  else
+    let fi = id f and gi = id g in
+    if fi = gi && (c = 0 || c = 3) then true
+    else
+      (* Symmetric: the smaller id goes first, its bit with it. *)
+      let fi, gi, f, g, c =
+        if fi <= gi then (fi, gi, f, g, c)
+        else (gi, fi, g, f, ((c land 1) lsl 1) lor (c lsr 1))
+      in
+      let k0 = (fi lsl op_bits) lor op_equal_cof and k2 = (4 * v) + c in
+      let r = cache_find m k0 gi k2 in
+      if r != absent then r == One
+      else
+        let b =
+          equal_cof_rec m v c (cof_hi f u) (cof_hi g u)
+          && equal_cof_rec m v c (cof_lo f u) (cof_lo g u)
+        in
+        cache_add m k0 gi k2 (verdict b);
+        b
+
+(* Is f|v=a <= g|v=b?  At and below [v] it is [leq] of the cofactors. *)
+let rec leq_cof_rec m v c f g =
+  let fi = id f and gi = id g in
+  if fi = 0 || gi = 1 then true
+  else
+    let lf = level f and lg = level g in
+    let u = if lf <= lg then lf else lg in
+    if u > v then leq m f g
+    else if u = v then leq m (branch f v (c >= 2)) (branch g v (c land 1 = 1))
+    else
+      let k0 = (fi lsl op_bits) lor op_leq_cof and k2 = (4 * v) + c in
+      let r = cache_find m k0 gi k2 in
+      if r != absent then r == One
+      else
+        let b =
+          leq_cof_rec m v c (cof_hi f u) (cof_hi g u)
+          && leq_cof_rec m v c (cof_lo f u) (cof_lo g u)
+        in
+        cache_add m k0 gi k2 (verdict b);
+        b
+
+let bits a b = (if a then 2 else 0) lor if b then 1 else 0
+let equal_cof m v f a g b = equal_cof_rec m v (bits a b) f g
+let leq_cof m v f a g b = leq_cof_rec m v (bits a b) f g
 
 let rec ite m f g h =
   let fi = id f and gi = id g and hj = id h in

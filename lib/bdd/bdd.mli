@@ -12,8 +12,8 @@
     from the node, so finding or creating a node allocates only the new
     node.  One direct-mapped, lossy computed table memoizes and, or,
     xor, not, diff, ite and restrict, and the verdicts of the decisions
-    {!disjoint}, {!leq} and {!equal_on}, keyed on packed operand ids
-    and a 4-bit operation code.  Both size
+    {!disjoint}, {!leq}, {!equal_on}, {!equal_cof} and {!leq_cof},
+    keyed on packed operand ids and a 4-bit operation code.  Both size
     themselves from the node count: the unique table doubles at half
     load and the computed table follows it up to a fixed cap.  A node's
     id is its creation rank, and whether an operation hits the computed
@@ -22,9 +22,11 @@
 
     {b Decide, do not build.}  A yes/no question about functions —
     is [f /\ g] empty, is [f] inside [g], do [f] and [g] agree on a
-    care set — is asked with {!disjoint}, {!leq} or {!equal_on}.
-    Building the conjunction or the difference only to compare it with
-    [zero] creates nodes that nothing else reads.
+    care set, is one cofactor on [v] equal to or inside another — is
+    asked with {!disjoint}, {!leq}, {!equal_on}, {!equal_cof} or
+    {!leq_cof}.  Building the conjunction, the difference or the
+    cofactors only to compare them creates nodes that nothing else
+    reads.
 
     Mixing nodes of different managers in one operation is a programming
     error; it is detected (cheaply, via node ids) only by assertions.
@@ -128,6 +130,22 @@ val equal_on : manager -> care:t -> t -> t -> bool
 (** [equal_on m ~care f g]: do [f] and [g] agree on every minterm of
     [care]?  ([care = one] is plain {!equal}; the workhorse of the
     care-set-aware equivalence audit.) *)
+
+(** The next two compare cofactors on one variable [v] without building
+    them: they walk [f] and [g] in lockstep above [v] and, at a node on
+    [v], descend into the fixed branch.  Memoized under the key
+    [(id f, id g, 4v + 2a + b)].  [v] may lie above, at or below the
+    operands' tops, or outside their supports. *)
+
+val equal_cof : manager -> int -> t -> bool -> t -> bool -> bool
+(** [equal_cof m v f a g b]: is [restrict m f v a] equal to
+    [restrict m g v b]?  Below [v] canonical nodes compare by id.  The
+    bound-set search asks it of the halves of a split cofactor vector,
+    step 1 of a completely specified function's exchange. *)
+
+val leq_cof : manager -> int -> t -> bool -> t -> bool -> bool
+(** [leq_cof m v f a g b]: is [restrict m f v a] contained in
+    [restrict m g v b]?  Below [v] the walk hands over to {!leq}. *)
 
 (** {1 Cofactors, quantification, substitution} *)
 

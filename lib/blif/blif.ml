@@ -143,17 +143,24 @@ let parse text =
           match phases with
           | [] -> Network.const net false
           | [ ('1' | '0') as phase ] ->
-              let tt =
-                Bv.of_fun arity (fun i ->
-                    let hit =
-                      List.exists
-                        (fun (plane, _) ->
-                          Cover.cube_eval (Cover.cube_of_string plane)
-                            (fun k -> (i lsr k) land 1 = 1))
-                        b.nb_cubes
-                    in
-                    if phase = '1' then hit else not hit)
+              (* Each row once, as care and value masks (character [k]
+                 is variable [k]); the table is the union of the rows'
+                 cubes, complemented for an off-set body. *)
+              let masks (plane, _) =
+                let care = ref 0 and value = ref 0 in
+                String.iteri
+                  (fun k c ->
+                    match c with
+                    | '0' -> care := !care lor (1 lsl k)
+                    | '1' ->
+                        care := !care lor (1 lsl k);
+                        value := !value lor (1 lsl k)
+                    | _ -> ())
+                  plane;
+                (!care, !value)
               in
+              let hits = Bv.of_cubes arity (List.map masks b.nb_cubes) in
+              let tt = if phase = '1' then hits else Bv.not_ hits in
               Network.add_lut net ~fanins ~tt
           | _ -> fail b.nb_line "mixed or invalid output phases in .names"
         in

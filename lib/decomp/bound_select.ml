@@ -4,9 +4,12 @@ let worst = Cost.worst
    cofactored over [bound inter supp f] only: fixing a variable outside
    its support leaves every cofactor the same node, so the vector over
    the intersection, read through the projection, gives exactly the
-   classes of the vector over [bound]. *)
-let score_against ?cache ?stats ?(lut_size = max_int) ?(cost = Cost.area) m
-    isfs supports bound =
+   classes of the vector over [bound].  With [decide], the search's
+   target size, no vector over the intersection is built: the classes
+   are decided on the halves of its parent's entries
+   ([Classes.split]). *)
+let score_against ?cache ?stats ?(lut_size = max_int) ?(cost = Cost.area)
+    ~decide m isfs supports bound =
   let stats =
     match cache with
     | Some c -> Score_cache.stats c
@@ -42,21 +45,20 @@ let score_against ?cache ?stats ?(lut_size = max_int) ?(cost = Cost.area) m
         stats.Stats.score_hits <- stats.Stats.score_hits + 1;
         s
     | None ->
-        let vecs =
-          List.map
-            (fun (f, sub) -> (sub, Classes.cofactor_vector ?cache m f sub))
-            relevant
-        in
         (* Per-output class counts and the joint count from one
            numbering, refined output by output; the overlap of an ISF
            with the bound set is [|sub|]. *)
         let classes = Classes.numbering bound in
         let reduction =
           List.fold_left
-            (fun acc (sub, vec) ->
-              let own = Classes.refine classes sub vec in
+            (fun acc (f, sub) ->
+              let cofs =
+                if decide then Classes.split ?cache m f sub
+                else Classes.Vector (Classes.cofactor_vector ?cache m f sub)
+              in
+              let own = Classes.refine m classes sub cofs in
               acc + max 0 (List.length sub - Bits.ceil_log2 own))
-            0 vecs
+            0 relevant
         in
         let joint = Classes.count classes in
         (* Net benefit: support reduction minus the realization cost of the
@@ -100,7 +102,8 @@ let score ?cache ?stats ?lut_size ?cost m isfs bound =
   if not (ascending bound) then
     invalid_arg "Bound_select.score: bound set not strictly ascending";
   let supports = List.map (Isf.support m) isfs in
-  score_against ?cache ?stats ?lut_size ?cost m isfs supports bound
+  score_against ?cache ?stats ?lut_size ?cost ~decide:false m isfs supports
+    bound
 
 let select_with_target ?cache ?cost ?(check = ignore) ?(min_size = 2) m cfg
     ~groups ~eligible isfs target =
@@ -109,8 +112,11 @@ let select_with_target ?cache ?cost ?(check = ignore) ?(min_size = 2) m cfg
     (* Every candidate is scored against the same ISFs: read each
        support once per search. *)
     let supports = List.map (Isf.support m) isfs in
-    let score =
-      score_against ?cache ~lut_size:cfg.Config.lut_size ?cost m isfs supports
+    (* A candidate at the target size is never extended: its classes
+       are decided, and only smaller ones build (and cache) vectors. *)
+    let score bound =
+      score_against ?cache ~lut_size:cfg.Config.lut_size ?cost
+        ~decide:(List.length bound = target) m isfs supports bound
     in
     let in_eligible v = List.mem v eligible in
     (* Atoms: symmetry groups cut down to eligible variables, split into

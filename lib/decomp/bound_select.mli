@@ -61,7 +61,11 @@ val select :
     (default {!Cost.area}) supplies the objective every candidate is
     scored under.  [check] (default a no-op) is polled once per
     candidate scored and may raise to abandon the search — the
-    {!Budget} governor polls here. *)
+    {!Budget} governor polls here.  Candidates below the target size
+    build (and cache) their cofactor vectors, because the growth
+    extends them; a candidate at the target size is scored by deciding
+    which halves of its cached parent vector's entries are equal
+    ({!Classes.split}), with the score {!score} gives. *)
 
 val select_curtis :
   ?cache:Score_cache.t ->

@@ -11,16 +11,22 @@ let nvertices t = Array.length t.node_of_vertex
 (* Class numbering over one open-addressed table of int pairs.  The
    arrays are per-domain scratch, grown on demand and reused by the
    next [numbering] on the same domain:
+   - [ea], [eb]: the key pair of every entry of the vector being
+     refined (over a subset of [bound]);
    - [ka], [kb]: the key pair of every vertex;
    - [own]: a vertex's class within the current vector;
    - [ids]: its class within all vectors refined so far;
    - [slot]: the table, class id + 1 per slot (0 = empty);
    - [rep]: the first vertex of every class;
-   - [proj]: a vertex's index into a vector over a subset of [bound]. *)
+   - [proj]: a vertex's index into a vector over a subset of [bound];
+   - [rep_e], [rep_h]: the parent entry and half of every label of a
+     split ([classify]). *)
 type numbering = {
   mutable bound : int list;
   mutable n : int;
   mutable count : int;
+  mutable ea : int array;
+  mutable eb : int array;
   mutable ka : int array;
   mutable kb : int array;
   mutable own : int array;
@@ -28,6 +34,8 @@ type numbering = {
   mutable rep : int array;
   mutable slot : int array;
   mutable proj : int array;
+  mutable rep_e : int array;
+  mutable rep_h : int array;
 }
 
 let scratch =
@@ -36,6 +44,8 @@ let scratch =
         bound = [];
         n = 0;
         count = 0;
+        ea = [||];
+        eb = [||];
         ka = [||];
         kb = [||];
         own = [||];
@@ -43,19 +53,25 @@ let scratch =
         rep = [||];
         slot = [||];
         proj = [||];
+        rep_e = [||];
+        rep_h = [||];
       })
 
 let numbering bound =
   let n = 1 lsl List.length bound in
   let s = Domain.DLS.get scratch in
   if Array.length s.ids < n then begin
+    s.ea <- Array.make n 0;
+    s.eb <- Array.make n 0;
     s.ka <- Array.make n 0;
     s.kb <- Array.make n 0;
     s.own <- Array.make n 0;
     s.ids <- Array.make n 0;
     s.rep <- Array.make n 0;
     s.slot <- Array.make (4 * n) 0;
-    s.proj <- Array.make n 0
+    s.proj <- Array.make n 0;
+    s.rep_e <- Array.make n 0;
+    s.rep_h <- Array.make n 0
   end;
   s.bound <- bound;
   s.n <- n;
@@ -123,19 +139,104 @@ let project s sub =
   in
   go 1 s.bound sub
 
-let refine s sub vec =
+type cofactors = Score_cache.cofactors =
+  | Vector of Isf.t array
+  | Split of Isf.t array * int
+
+(* Do the halves [a] of [e] and [b] of [r] on [v] agree? *)
+let same_half m v e a r b =
+  Bdd.equal_cof m v (Isf.on e) a (Isf.on r) b
+  && Bdd.equal_cof m v (Isf.dc e) a (Isf.dc r) b
+
+let rec count_above v = function
+  | [] -> 0
+  | u :: rest -> if u > v then 1 + count_above v rest else count_above v rest
+
+(* The label of half [a] of [parent.(i)] on [v] among the first
+   [labels] ones, else a new one ([labels] itself) that it stands for.
+   [rep_h] is the half a label's representative stands for, or 2 for
+   a whole entry ([whole]: the entry's halves agree); two whole entries
+   are never compared, nor is a half with [skip]. *)
+let label m s parent v i a ~whole ~skip labels =
+  let e = parent.(i) in
+  let c = ref 0 and found = ref (-1) in
+  while !found < 0 && !c < labels do
+    let h = s.rep_h.(!c) in
+    if
+      !c <> skip
+      && (not (whole && h = 2))
+      && same_half m v e a parent.(s.rep_e.(!c)) (h = 1)
+    then found := !c;
+    incr c
+  done;
+  if !found >= 0 then !found
+  else begin
+    s.rep_e.(labels) <- i;
+    s.rep_h.(labels) <- (if whole then 2 else if a then 1 else 0);
+    labels
+  end
+
+(* Labels of the vector over [sub] that splitting every entry of
+   [parent] (over [sub] without [v]) on [v] would give, into [ea] (and
+   0 into [eb]): equal labels, equal cofactors.  Entry [i]'s halves
+   land where [Isf.extend_cofactor_vector] puts them.  Equal parent
+   entries share labels.  An entry whose halves agree is its own half,
+   and distinct from every other such entry, so it is compared with
+   split halves only; a split half is compared with every label but
+   its sibling's.  [Bdd.equal_cof] compares halves where they lie: no
+   half is built. *)
+let classify m s sub parent v =
+  let low = count_above v sub in
+  let mask = (1 lsl low) - 1 in
+  let labels = ref 0 in
+  for i = 0 to Array.length parent - 1 do
+    let lo = ((i lsr low) lsl (low + 1)) lor (i land mask) in
+    let hi = lo lor (1 lsl low) in
+    let j = ref 0 in
+    while !j < i && not (Isf.equal parent.(!j) parent.(i)) do
+      incr j
+    done;
+    if !j < i then begin
+      let jlo = ((!j lsr low) lsl (low + 1)) lor (!j land mask) in
+      s.ea.(lo) <- s.ea.(jlo);
+      s.ea.(hi) <- s.ea.(jlo lor (1 lsl low))
+    end
+    else begin
+      let e = parent.(i) in
+      let whole = same_half m v e false e true in
+      let l = label m s parent v i false ~whole ~skip:(-1) !labels in
+      if l = !labels then incr labels;
+      let l' =
+        if whole then l
+        else label m s parent v i true ~whole ~skip:l !labels
+      in
+      if l' = !labels then incr labels;
+      s.ea.(lo) <- l;
+      s.ea.(hi) <- l'
+    end;
+    s.eb.(lo) <- 0;
+    s.eb.(hi) <- 0
+  done
+
+let refine m s sub cofs =
   let n = s.n in
-  if sub == s.bound then
-    for v = 0 to n - 1 do
-      s.ka.(v) <- Bdd.id (Isf.on vec.(v));
-      s.kb.(v) <- Bdd.id (Isf.dc vec.(v))
-    done
+  (match cofs with
+  | Vector vec ->
+      for i = 0 to Array.length vec - 1 do
+        s.ea.(i) <- Bdd.id (Isf.on vec.(i));
+        s.eb.(i) <- Bdd.id (Isf.dc vec.(i))
+      done
+  | Split (parent, v) -> classify m s sub parent v);
+  if sub == s.bound then begin
+    Array.blit s.ea 0 s.ka 0 n;
+    Array.blit s.eb 0 s.kb 0 n
+  end
   else begin
     project s sub;
     for v = 0 to n - 1 do
-      let f = vec.(s.proj.(v)) in
-      s.ka.(v) <- Bdd.id (Isf.on f);
-      s.kb.(v) <- Bdd.id (Isf.dc f)
+      let i = s.proj.(v) in
+      s.ka.(v) <- s.ea.(i);
+      s.kb.(v) <- s.eb.(i)
     done
   end;
   let own = number s s.own in
@@ -173,6 +274,15 @@ let cofactor_vector ?cache m f sub =
   | _, Some c -> Score_cache.cofactor_vector c f sub
   | _, None -> Isf.cofactor_vector m f sub
 
+let split ?cache m f sub =
+  match (sub, cache) with
+  | [], _ -> Vector [| f |]
+  | _, Some c -> Score_cache.split c f sub
+  | _, None -> (
+      match List.rev sub with
+      | v :: rev_rest -> Split (Isf.cofactor_vector m f (List.rev rev_rest), v)
+      | [] -> Vector [| f |])
+
 (* Each function's vector over [bound inter supp f], read through the
    projection: fixing a variable outside the support leaves every
    cofactor the same node, so vertex [v]'s entry is exactly the
@@ -189,7 +299,7 @@ let cofactor_matrix ?cache m isfs bound =
   let subs = Array.map (fun f -> inter bound (Isf.support m f)) isfs in
   let vecs = Array.map2 (cofactor_vector ?cache m) isfs subs in
   let s = numbering bound in
-  Array.iter2 (fun sub vec -> ignore (refine s sub vec)) subs vecs;
+  Array.iter2 (fun sub vec -> ignore (refine m s sub (Vector vec))) subs vecs;
   let node_of_vertex = ids s in
   let reps = Array.sub s.rep 0 s.count in
   (* [cols.(i).(node)]: item [i]'s cofactor at the node's first vertex. *)

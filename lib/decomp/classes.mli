@@ -27,7 +27,8 @@ val nvertices : t -> int
 (** {1 Class numbering}
 
     Vertices are grouped by identical cofactors, an ISF being identified
-    by its node-id pair [(Bdd.id on, Bdd.id dc)].  One vector at a time
+    by its node-id pair [(Bdd.id on, Bdd.id dc)], or, for a [Split], by
+    a class label decided on the halves.  One vector at a time
     refines the grouping, so after the vectors of [f_1 .. f_m] two
     vertices share a class exactly when their cofactor tuples are equal.
     Class ids are dense and in first-occurrence order, hence a function
@@ -42,17 +43,32 @@ val numbering : int list -> numbering
     and is reset by its next [numbering]: finish with one before
     starting another. *)
 
-val refine : numbering -> int list -> Isf.t array -> int
-(** [refine s sub vec] splits the classes of [s] by the cofactors
-    [vec] of one function over [sub], an ascending subset of the bound
-    set, and returns the number of distinct cofactors in [vec] alone —
-    that output's class count.  Vertex [v] of the bound set reads the
-    entry of [vec] given by [v]'s bits for the variables of [sub]: the
+type cofactors = Score_cache.cofactors =
+  | Vector of Isf.t array  (** a function's vector over a subset *)
+  | Split of Isf.t array * int
+      (** [Split (parent, v)]: the vector over the subset without [v],
+          each entry standing for its two halves on [v] *)
+
+val refine : Bdd.manager -> numbering -> int list -> cofactors -> int
+(** [refine m s sub cofs] splits the classes of [s] by the cofactors
+    of one function over [sub], an ascending subset of the bound set,
+    and returns the number of distinct cofactors over [sub] alone —
+    that output's class count.  It reads two int keys per entry: a
+    [Vector]'s entry gives its id pair [(Bdd.id on, Bdd.id dc)]; a
+    [Split] gives each half a class label, found by deciding which
+    halves are equal with {!Bdd.equal_cof}, so no half is built.
+    Equal parent entries share labels; an entry whose halves agree is
+    its own half and is compared with split halves only.  The halves
+    sit where {!Isf.extend_cofactor_vector} would put them, so the
+    classes are those of the built vector.  Vertex [v] of the bound set
+    reads the entry given by [v]'s bits for the variables of [sub]: the
     projection.  When the function depends on no variable of the bound
     set outside [sub], its cofactor at [v] is exactly that entry, so
     the classes equal those of its vector over the whole bound set.
     Passing the bound set itself (the same physical list given to
-    {!numbering}) reads [vec] vertex by vertex, with no projection.
+    {!numbering}) reads the entries vertex by vertex, with no
+    projection.  The labels and their representatives live in the
+    numbering's scratch.
     @raise Invalid_argument if [sub] is not an ascending subset of the
     bound set. *)
 
@@ -76,14 +92,25 @@ val cofactor_vector :
     {!Isf.cofactor_vector} otherwise.  An empty [sub] gives [[| f |]]
     without asking the cache. *)
 
+val split : ?cache:Score_cache.t -> Bdd.manager -> Isf.t -> int list -> cofactors
+(** [split ?cache m f sub]: what the bound-set search reads at its
+    target size, for a non-empty ascending [sub].  With [cache], the
+    cached vector over [sub] when there is one, else a [Split] of a
+    cached (or newly cached) parent ({!Score_cache.split}); without,
+    a [Split] on [sub]'s last variable of the vector over the rest.
+    An empty [sub] gives [Vector [| f |]]. *)
+
 val cofactor_matrix : ?cache:Score_cache.t -> Bdd.manager -> Isf.t list -> int list -> t
 (** Cofactor every function w.r.t. the (ascending) bound set and
     deduplicate vertices with identical cofactor tuples.  Each function
-    [f] is cofactored over [bound inter supp f] only ({!cofactor_vector},
-    so with the search's [cache] every vector is one it already built)
+    [f] is cofactored over [bound inter supp f] only ({!cofactor_vector})
     and read through the projection, in {!refine} and in [node_cof]
     alike: the matrix is the one cofactoring every function over the
-    whole bound set would give, node for node. *)
+    whole bound set would give, node for node.  With the search's
+    [cache], the search decided the chosen set's scores without
+    building its vectors ({!split}), so each is one extension of its
+    cached parent, or a hit when a smaller candidate already built
+    it. *)
 
 val joint_incompat : Bdd.manager -> t -> Ugraph.t
 (** Graph on nodes; edge = some output's cofactors are incompatible. *)

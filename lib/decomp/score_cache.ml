@@ -15,7 +15,9 @@
    cofactors from the root; the greedy growth of Bound_select then
    reuses the current candidate's vector for every extension it
    scores, and Curtis retries and later driver iterations reuse
-   whatever the earlier searches left behind. *)
+   whatever the earlier searches left behind.  A candidate at the
+   search's target size is never extended, so [split] hands back the
+   parent vector for its halves to be compared, and stores nothing. *)
 
 type isf_key = int * int
 
@@ -35,54 +37,73 @@ let create ?(stats = Stats.create ()) m =
 
 let stats t = t.stats
 
+(* The size-(p-1) subset of [bound] a vector over [bound] comes from,
+   and the variable it lacks: any cached one, else [bound] minus its
+   maximum (the remove-maximum chain). *)
+let parent t fk bound =
+  match
+    List.find_map
+      (fun v ->
+        let sub = List.filter (fun u -> u <> v) bound in
+        if Hashtbl.mem t.cof (fk, sub) then Some (sub, v) else None)
+      bound
+  with
+  | Some pair -> pair
+  | None -> (
+      match List.rev bound with
+      | last :: rev_rest -> (List.rev rev_rest, last)
+      | [] -> invalid_arg "Score_cache.parent: empty bound set")
+
+(* The vector over [bound], from the nearest cached subset, caching
+   every prefix on the way up (total restricts of a cold chain equal
+   those of a from-the-root computation, so this is never worse).
+   [found] is set when a cached vector was reached. *)
+let rec build t f fk found bound =
+  match Hashtbl.find_opt t.cof (fk, bound) with
+  | Some vec ->
+      found := true;
+      vec
+  | None ->
+      let vec =
+        match bound with
+        | [] -> [| f |]
+        | _ ->
+            let sub, v = parent t fk bound in
+            let vec_sub = build t f fk found sub in
+            t.stats.Stats.restricts <-
+              t.stats.Stats.restricts + (2 * Array.length vec_sub);
+            Isf.extend_cofactor_vector t.m vec_sub sub v
+      in
+      Hashtbl.add t.cof (fk, bound) vec;
+      vec
+
 let cofactor_vector t f bound =
   t.stats.Stats.cof_lookups <- t.stats.Stats.cof_lookups + 1;
   let fk = isf_key f in
-  let hit_below = ref false in
-  let rec get bound =
-    match Hashtbl.find_opt t.cof (fk, bound) with
-    | Some vec ->
-        hit_below := true;
-        vec
-    | None ->
-        let vec =
-          match List.rev bound with
-          | [] -> [| f |]
-          | last :: rev_rest ->
-              (* Prefer any cached size-(p-1) subset; otherwise walk the
-                 remove-maximum chain, caching every prefix on the way
-                 up (total restricts of a cold chain equal those of a
-                 from-the-root computation, so this is never worse). *)
-              let sub, v =
-                match
-                  List.find_map
-                    (fun v ->
-                      let sub = List.filter (fun u -> u <> v) bound in
-                      if Hashtbl.mem t.cof (fk, sub) then Some (sub, v)
-                      else None)
-                    bound
-                with
-                | Some pair -> pair
-                | None -> (List.rev rev_rest, last)
-              in
-              let vec_sub = get sub in
-              t.stats.Stats.restricts <-
-                t.stats.Stats.restricts + (2 * Array.length vec_sub);
-              Isf.extend_cofactor_vector t.m vec_sub sub v
-        in
-        Hashtbl.add t.cof (fk, bound) vec;
-        vec
-  in
   match Hashtbl.find_opt t.cof (fk, bound) with
   | Some vec ->
       t.stats.Stats.cof_hits <- t.stats.Stats.cof_hits + 1;
       vec
   | None ->
-      let vec = get bound in
-      if !hit_below then
-        t.stats.Stats.cof_extends <- t.stats.Stats.cof_extends + 1
+      let found = ref false in
+      let vec = build t f fk found bound in
+      if !found then t.stats.Stats.cof_extends <- t.stats.Stats.cof_extends + 1
       else t.stats.Stats.cof_fresh <- t.stats.Stats.cof_fresh + 1;
       vec
+
+type cofactors = Vector of Isf.t array | Split of Isf.t array * int
+
+let split t f bound =
+  t.stats.Stats.cof_lookups <- t.stats.Stats.cof_lookups + 1;
+  let fk = isf_key f in
+  match Hashtbl.find_opt t.cof (fk, bound) with
+  | Some vec ->
+      t.stats.Stats.cof_hits <- t.stats.Stats.cof_hits + 1;
+      Vector vec
+  | None ->
+      t.stats.Stats.cof_decided <- t.stats.Stats.cof_decided + 1;
+      let sub, v = parent t fk bound in
+      Split (build t f fk (ref false) sub, v)
 
 let score_key ~lut_size ?(cost = Cost.area) isfs bound =
   (* The cost fragment carries the objective tag and (for the

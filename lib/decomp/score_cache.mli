@@ -38,6 +38,23 @@ val cofactor_vector : t -> Isf.t -> int list -> Isf.t array
     candidates that differ only outside an ISF's support share that
     ISF's vector. *)
 
+(** What the bound-set search reads at its target size. *)
+type cofactors =
+  | Vector of Isf.t array  (** the vector over the bound set *)
+  | Split of Isf.t array * int
+      (** [Split (parent, v)]: the vector over the bound set without
+          [v]; the cofactors are the halves of its entries on [v] *)
+
+val split : t -> Isf.t -> int list -> cofactors
+(** [split t f bound] for a non-empty ascending [bound]: the cached
+    vector when there is one (a hit), else a [Split] of the vector over
+    [bound] without one variable, chosen and built as
+    {!cofactor_vector} chooses and builds a parent (a decided lookup).
+    It stores no vector over [bound]: the search's candidates at its
+    target size are never extended, so their halves are compared
+    ({!Classes.refine}) rather than built.  Every lookup is exactly one
+    of a hit, an extension, a fresh build or a decided split. *)
+
 type score_key
 
 val score_key :

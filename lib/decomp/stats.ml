@@ -5,6 +5,7 @@ type t = {
   mutable cof_hits : int;
   mutable cof_extends : int;
   mutable cof_fresh : int;
+  mutable cof_decided : int;
   mutable restricts : int;
   mutable retains : int;
   mutable evicted : int;
@@ -30,6 +31,7 @@ let create () =
     cof_hits = 0;
     cof_extends = 0;
     cof_fresh = 0;
+    cof_decided = 0;
     restricts = 0;
     retains = 0;
     evicted = 0;
@@ -57,6 +59,7 @@ let counter_fields =
     ("cof_hits", (fun t -> t.cof_hits), fun t v -> t.cof_hits <- v);
     ("cof_extends", (fun t -> t.cof_extends), fun t v -> t.cof_extends <- v);
     ("cof_fresh", (fun t -> t.cof_fresh), fun t v -> t.cof_fresh <- v);
+    ("cof_decided", (fun t -> t.cof_decided), fun t v -> t.cof_decided <- v);
     ("restricts", (fun t -> t.restricts), fun t v -> t.restricts <- v);
     ("retains", (fun t -> t.retains), fun t v -> t.retains <- v);
     ("evicted", (fun t -> t.evicted), fun t v -> t.evicted <- v);
@@ -111,7 +114,7 @@ let score_hit_rate t =
 let cof_hit_rate t =
   if t.cof_lookups = 0 then 0.0
   else
-    float_of_int (t.cof_hits + t.cof_extends) /. float_of_int t.cof_lookups
+    float_of_int (t.cof_lookups - t.cof_fresh) /. float_of_int t.cof_lookups
 
 type clock = { stats : t; mutable last : float }
 
@@ -202,11 +205,12 @@ let of_json j =
 let pp fmt t =
   Format.fprintf fmt
     "@[<v>score calls %d, memo hits %d (%.1f%%)@,\
-     cofactor vectors: %d lookups, %d cached, %d extended, %d fresh (reuse %.1f%%)@,\
+     cofactor vectors: %d lookups, %d cached, %d extended, %d fresh, %d decided \
+     (reuse %.1f%%)@,\
      isf restricts %d; cache retains %d (evicted %d entries)@]"
     t.score_calls t.score_hits
     (100.0 *. score_hit_rate t)
-    t.cof_lookups t.cof_hits t.cof_extends t.cof_fresh
+    t.cof_lookups t.cof_hits t.cof_extends t.cof_fresh t.cof_decided
     (100.0 *. cof_hit_rate t)
     t.restricts t.retains t.evicted;
   if t.sem_nodes > 0 || t.sem_truncations > 0 then

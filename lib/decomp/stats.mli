@@ -18,6 +18,9 @@ type t = {
   mutable cof_extends : int;
       (** vectors built incrementally from a cached subset *)
   mutable cof_fresh : int;  (** vectors built from the root *)
+  mutable cof_decided : int;
+      (** target-size requests answered by deciding which halves of a
+          cached parent vector's entries are equal; no vector built *)
   mutable restricts : int;  (** ISF restricts spent building vectors *)
   mutable retains : int;  (** cache invalidation passes *)
   mutable evicted : int;  (** entries dropped by invalidation *)
@@ -85,7 +88,8 @@ val score_hit_rate : t -> float
 
 val cof_hit_rate : t -> float
 (** Fraction of cofactor-vector requests answered without a
-    from-the-root computation (cached or incrementally extended). *)
+    from-the-root computation (cached, incrementally extended or
+    decided). *)
 
 (** A phase clock marks the boundaries between the named phases of a
     loop iteration; the elapsed time since the previous mark is added

@@ -32,6 +32,22 @@ let of_fun n f =
   done;
   { n; bits }
 
+let of_cubes n cubes =
+  check_n n;
+  let bits = Bytes.make (bytes_for n) '\x00' in
+  List.iter
+    (fun (care, value) ->
+      (* The minterms of the cube: [value] with every subset of the
+         free positions set, enumerated by [sub - 1 land free]. *)
+      let free = ((1 lsl n) - 1) land lnot care in
+      let rec fill sub =
+        set_mut bits (value lor sub) true;
+        if sub <> 0 then fill ((sub - 1) land free)
+      in
+      fill free)
+    cubes;
+  { n; bits }
+
 let var n k =
   if k < 0 || k >= n then invalid_arg "Bv.var: index out of range";
   of_fun n (fun i -> (i lsr k) land 1 = 1)

@@ -18,6 +18,13 @@ val var : int -> int -> t
 val of_fun : int -> (int -> bool) -> t
 (** [of_fun n f] tabulates [f] over minterm indices [0 .. 2^n - 1]. *)
 
+val of_cubes : int -> (int * int) list -> t
+(** [of_cubes n cubes]: the union of the cubes, each given by its
+    [(care, value)] masks over minterm indices (bit [k] is variable
+    [k]; [value] has no bit outside [care]).  Each cube's minterms are
+    set by enumerating its free positions, so the cost is the number
+    of minterms the cubes cover, not cubes times [2^n]. *)
+
 val get : t -> int -> bool
 val set : t -> int -> bool -> t
 (** Functional update of one minterm. *)

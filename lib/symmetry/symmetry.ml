@@ -21,20 +21,20 @@ let symmetric_pair m fs ~rel i j =
 (* on <= sigma(up), with up = on \/ dc: on the fixed quadrants it is
    on_q <= up_q, which always holds; on the moved ones it is
    on_a <= up_b and on_b <= up_a.  The mirrored test sigma(on) <= up
-   is sigma of this one.  A completely specified function has
-   [up == on]: it restricts one DAG, not two, and the two inclusions
-   say on_a = on_b, one id comparison. *)
+   is sigma of this one.  The cofactors on [i] are built (the computed
+   table shares them across every [j]); the quadrants on [j] are only
+   compared, so they are decided without building them.  A completely
+   specified function has [up == on]: it restricts one DAG, not two,
+   and the two inclusions say on_a = on_b. *)
 let exchangeable m f rel i j =
   let on = Isf.on f and up = Isf.up m f in
   let on0 = Bdd.restrict m on i false and up1 = Bdd.restrict m up i true in
-  let on_a = Bdd.restrict m on0 j (not rel)
-  and up_b = Bdd.restrict m up1 j rel in
-  if up == on then Bdd.equal on_a up_b
+  if up == on then Bdd.equal_cof m j on0 (not rel) up1 rel
   else
-    Bdd.leq m on_a up_b
+    Bdd.leq_cof m j on0 (not rel) up1 rel
     &&
     let on1 = Bdd.restrict m on i true and up0 = Bdd.restrict m up i false in
-    Bdd.leq m (Bdd.restrict m on1 j rel) (Bdd.restrict m up0 j (not rel))
+    Bdd.leq_cof m j on1 rel up0 (not rel)
 
 let rec all_exchangeable m rel i j = function
   | [] -> true

@@ -58,10 +58,10 @@ val swap_rel : Bdd.manager -> Bdd.t -> rel:bool -> int -> int -> Bdd.t
     other two, [a = (0, not rel)] and [b = (1, rel)].  The two functions
     below read the cofactors of the on-set and of [up = on \/ dc]
     ({!Isf.up}) on these quadrants instead of building [sigma] of the
-    whole function, and decide with {!Bdd.leq}; their results are the
-    same canonical BDDs as the [swap_rel] formulation.  The off-set is
-    the complement of [up], so no complement is built.  Both treat
-    [i = j] as never symmetrizable. *)
+    whole function; their results are the same canonical BDDs as the
+    [swap_rel] formulation.  The off-set is the complement of [up], so
+    no complement is built.  Both treat [i = j] as never
+    symmetrizable. *)
 
 val symmetrizable :
   Bdd.manager -> Isf.t list -> rel:bool -> int -> int -> bool
@@ -70,7 +70,11 @@ val symmetrizable :
     Exactly when every function has [on_a <= up_b] and [on_b <= up_a]
     (that is, [on_a /\ off_b = 0] and [on_b /\ off_a = 0]): on the fixed
     quadrants [on <= sigma(up)] is [on <= up], which always holds, and
-    on the moved ones it is these two inclusions. *)
+    on the moved ones it is these two inclusions.  Only the cofactors on
+    [x_i] are built (and memoized for every [j]); the quadrants on [x_j]
+    are compared where they lie, by {!Bdd.leq_cof}, or by
+    {!Bdd.equal_cof} for a completely specified function, where
+    [up = on] and the two inclusions say [on_a = on_b]. *)
 
 val symmetrize :
   Bdd.manager -> Isf.t list -> rel:bool -> int -> int -> Isf.t list option

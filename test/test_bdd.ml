@@ -493,8 +493,74 @@ let size_prop =
           && List.for_all (fun f -> Bdd.size f = reference [ f ]) fs)
         [ 3; 12; 5; 13; 0; 8; 11; 2 ])
 
+(* The node-free cofactor decisions against the built restricts and
+   the truth-table oracle.  The operands live on variables [shift ..
+   shift + 4] ([shift = -3] puts some at negative indices) and include
+   both constants, a lone variable, every operand paired with itself,
+   and operands with one variable complemented or conjoined, whose
+   cofactors meet across different bits; [v] runs from two levels
+   above every top to two below every variable, so it falls above, at
+   and below the operands' tops and outside their supports.  Every
+   answer is taken before any restrict is built, and no answer may move
+   [node_count]. *)
+let cofactor_decision_prop =
+  prop "equal_cof and leq_cof agree with the built restricts" ~count:20
+    QCheck2.Gen.(pair int (oneofl [ 0; -3 ]))
+    (fun (seed, shift) ->
+      let n = 5 in
+      let st = Random.State.make [| seed |] in
+      let m = Bdd.manager () in
+      let bvs = Array.init 4 (fun _ -> random_bv st n) in
+      let flip t k = Bv.of_fun n (fun i -> Bv.get t (i lxor (1 lsl k))) in
+      let bvs =
+        Array.append bvs
+          [|
+            Bv.create n false;
+            Bv.create n true;
+            Bv.var n 2;
+            flip bvs.(0) 1;
+            flip bvs.(1) 3;
+            Bv.and_ bvs.(0) bvs.(1);
+          |]
+      in
+      let fs =
+        Array.map (fun bv -> Bdd.rename m (Bv.to_bdd m bv) (fun k -> k + shift)) bvs
+      in
+      let answers = ref [] in
+      Array.iteri
+        (fun i f ->
+          Array.iteri
+            (fun j g ->
+              for v = shift - 2 to shift + n + 1 do
+                List.iter
+                  (fun (a, b) ->
+                    let before = Bdd.node_count m in
+                    let eq = Bdd.equal_cof m v f a g b in
+                    let le = Bdd.leq_cof m v f a g b in
+                    answers :=
+                      ((i, j, v, a, b), (eq, le), Bdd.node_count m = before)
+                      :: !answers)
+                  [ (false, false); (false, true); (true, false); (true, true) ]
+              done)
+            fs)
+        fs;
+      (* The cofactor of table [t] on variable [v], as a table. *)
+      let cof t v b =
+        if v >= shift && v < shift + n then Bv.cofactor t (v - shift) b else t
+      in
+      List.for_all
+        (fun ((i, j, v, a, b), (eq, le), no_node) ->
+          let ra = Bdd.restrict m fs.(i) v a and rb = Bdd.restrict m fs.(j) v b in
+          let ta = cof bvs.(i) v a and tb = cof bvs.(j) v b in
+          no_node
+          && eq = Bdd.equal ra rb
+          && le = Bdd.leq m ra rb
+          && eq = Bv.equal ta tb
+          && le = Bv.is_zero (Bv.and_ ta (Bv.not_ tb)))
+        !answers)
+
 let suite =
   basic_tests @ table_tests
   @ List.map
       (fun p -> QCheck_alcotest.to_alcotest ~long:false p)
-      (oracle_props @ [ eviction_prop; size_prop ])
+      (oracle_props @ [ eviction_prop; size_prop; cofactor_decision_prop ])

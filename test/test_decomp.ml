@@ -172,17 +172,69 @@ let numbering_props =
         in
         let projected =
           let s = Classes.numbering bound in
-          let owns = List.map (fun (sub, vec) -> Classes.refine s sub vec) items in
+          let owns =
+            List.map
+              (fun (sub, vec) -> Classes.refine man s sub (Classes.Vector vec))
+              items
+          in
           (owns, Classes.count s, Classes.ids s)
         in
         let expanded =
           let s = Classes.numbering bound in
           let owns =
-            List.map (fun (sub, vec) -> Classes.refine s bound (expand bound sub vec)) items
+            List.map
+              (fun (sub, vec) ->
+                Classes.refine man s bound (Classes.Vector (expand bound sub vec)))
+              items
           in
           (owns, Classes.count s, Classes.ids s)
         in
         projected = expanded);
+    QCheck2.Test.make ~name:"a decided split refines as its built vector"
+      ~count:200
+      QCheck2.Gen.(
+        pair gen_bound
+          (list_size (int_range 1 3)
+             (triple (oneof [ gen_isf 7; gen_sparse_isf ]) (int_bound 63)
+                (opt (int_bound 5)))))
+      (fun (bound, items) ->
+        (* A mask picks the subset; a warm-up index, when given, caches
+           the vector over the subset without that variable, so the
+           split's parent varies. *)
+        let cache = Score_cache.create man in
+        let stats = Score_cache.stats cache in
+        let items =
+          List.map
+            (fun (f, mask, warm) ->
+              let sub = List.filteri (fun i _ -> (mask lsr i) land 1 = 1) bound in
+              (match warm with
+              | Some k when sub <> [] ->
+                  let w = List.nth sub (k mod List.length sub) in
+                  ignore
+                    (Score_cache.cofactor_vector cache f
+                       (List.filter (fun u -> u <> w) sub))
+              | _ -> ());
+              (f, sub))
+            items
+        in
+        let classes cofactors =
+          let s = Classes.numbering bound in
+          let owns =
+            List.map (fun (f, sub) -> Classes.refine man s sub (cofactors f sub)) items
+          in
+          (owns, Classes.count s, Classes.ids s)
+        in
+        let built =
+          classes (fun f sub -> Classes.Vector (Isf.cofactor_vector man f sub))
+        in
+        let hits = stats.Stats.cof_hits in
+        let decided = classes (fun f sub -> Classes.split ~cache man f sub) in
+        let uncached = classes (fun f sub -> Classes.split man f sub) in
+        (* A split stores no vector over its subset: asking again is
+           no hit. *)
+        let again = classes (fun f sub -> Classes.split ~cache man f sub) in
+        built = decided && built = uncached && built = again
+        && stats.Stats.cof_hits = hits);
     QCheck2.Test.make
       ~name:"cofactor_matrix through a score cache equals the matrix from the root"
       ~count:150
@@ -671,6 +723,60 @@ let score_cache_props =
 
 let score_reference_props =
   [
+    QCheck2.Test.make
+      ~name:"the search's decided scores and matrix equal the built ones"
+      ~count:100
+      QCheck2.Gen.(
+        pair
+          (list_size (int_range 1 3) (oneof [ gen_isf 6; gen_sparse_isf ]))
+          (int_range 2 4))
+      (fun (isfs, lut_size) ->
+        let cfg = Config.with_lut_size lut_size Config.mulop_dc in
+        let eligible = List.init 7 Fun.id in
+        let groups = List.map (fun v -> [ (v, false) ]) eligible in
+        let cache = Score_cache.create man in
+        match Bound_select.select ~cache man cfg ~groups ~eligible isfs with
+        | None -> true
+        | Some bound ->
+            (* Every memoized score at the search's target size was
+               decided; each equals the score built without a cache. *)
+            let target = List.length bound in
+            let rec subsets k = function
+              | _ when k = 0 -> [ [] ]
+              | [] -> []
+              | v :: rest ->
+                  List.map (fun s -> v :: s) (subsets (k - 1) rest) @ subsets k rest
+            in
+            let memoized =
+              List.filter_map
+                (fun b ->
+                  let relevant =
+                    List.filter
+                      (fun f -> Classes.inter b (Isf.support man f) <> [])
+                      isfs
+                  in
+                  if relevant = [] then None
+                  else
+                    Option.map
+                      (fun s -> (b, s))
+                      (Score_cache.find_score cache
+                         (Score_cache.score_key ~lut_size relevant b)))
+                (subsets target eligible)
+            in
+            let reference = reference_node_of_vertex isfs bound in
+            let vecs = List.map (fun f -> Isf.cofactor_vector man f bound) isfs in
+            let info = Classes.cofactor_matrix ~cache man isfs bound in
+            (memoized <> [] || List.for_all (fun f -> Isf.support man f = []) isfs)
+            && List.for_all
+                 (fun (b, s) -> s = Bound_select.score ~lut_size man isfs b)
+                 memoized
+            && info.Classes.node_of_vertex = reference
+            && List.for_all
+                 (fun v ->
+                   List.for_all2 Isf.equal
+                     (Array.to_list info.Classes.node_cof.(reference.(v)))
+                     (List.map (fun vec -> vec.(v)) vecs))
+                 (List.init (Array.length reference) Fun.id));
     QCheck2.Test.make ~name:"score equals the Hashtbl scorer" ~count:200
       QCheck2.Gen.(
         pair
@@ -793,6 +899,7 @@ let stats_tests =
             s.Stats.cof_hits;
             s.Stats.cof_extends;
             s.Stats.cof_fresh;
+            s.Stats.cof_decided;
             s.Stats.restricts;
             s.Stats.retains;
             s.Stats.evicted;
@@ -828,7 +935,10 @@ let stats_tests =
           (s.Stats.score_hits <= s.Stats.score_calls);
         check_int "cofactor lookups partitioned"
           s.Stats.cof_lookups
-          (s.Stats.cof_hits + s.Stats.cof_extends + s.Stats.cof_fresh);
+          (s.Stats.cof_hits + s.Stats.cof_extends + s.Stats.cof_fresh
+         + s.Stats.cof_decided);
+        check_bool "target-size candidates are decided" true
+          (s.Stats.cof_decided > 0);
         check_bool "phase buckets recorded" true
           (Hashtbl.length s.Stats.phases > 0);
         (* a run that isn't handed a stats instance must not touch ours *)

@@ -197,6 +197,72 @@ let blif_tests =
         check_bool "equivalent" true (Network.equivalent net net2));
   ]
 
+(* A single-[.names] model: inputs [x0 .. x(arity-1)], output [y],
+   one line per row. *)
+let names_model arity rows =
+  let ins = List.init arity (Printf.sprintf "x%d") in
+  String.concat "\n"
+    ([ ".model m"; ".inputs " ^ String.concat " " ins; ".outputs y";
+       ".names " ^ String.concat " " (ins @ [ "y" ]) ]
+    @ rows @ [ ".end"; "" ])
+
+(* The table of [y] over [x0 .. x(arity-1)]. *)
+let table_of net arity =
+  let m = Bdd.manager () in
+  let var_of_input name = int_of_string (String.sub name 1 (String.length name - 1)) in
+  Bv.of_bdd arity (List.assoc "y" (Network.output_bdds net m ~var_of_input))
+
+let wide_blif_tests =
+  [
+    Alcotest.test_case "a 14-input parity block parses to the parity table"
+      `Quick (fun () ->
+        let n = 14 in
+        let parity i =
+          let rec ones i = if i = 0 then 0 else (i land 1) + ones (i lsr 1) in
+          ones i land 1 = 1
+        in
+        let rows =
+          List.filter parity (List.init (1 lsl n) Fun.id)
+          |> List.map (fun i ->
+                 String.init n (fun k -> if (i lsr k) land 1 = 1 then '1' else '0')
+                 ^ " 1")
+        in
+        check_int "rows" 8192 (List.length rows);
+        let net = Blif.parse (names_model n rows) in
+        check_bool "parity table" true
+          (Bv.equal (Bv.of_fun n parity) (table_of net n)));
+    QCheck_alcotest.to_alcotest ~long:false
+      (QCheck2.Test.make ~name:".names rows with dashes read as their cubes"
+         ~count:300
+         QCheck2.Gen.(
+           let* arity = int_range 0 10 in
+           let* on_phase = bool in
+           let+ planes =
+             list_size (int_range 0 12)
+               (string_size ~gen:(oneofl [ '0'; '1'; '-'; '-'; '2' ])
+                  (return arity))
+           in
+           (arity, on_phase, planes))
+         (fun (arity, on_phase, planes) ->
+           let out = if on_phase then "1" else "0" in
+           let rows =
+             List.map (fun p -> if arity = 0 then out else p ^ " " ^ out) planes
+           in
+           let net = Blif.parse (names_model arity rows) in
+           let expected =
+             Bv.of_fun arity (fun i ->
+                 let hit =
+                   List.exists
+                     (fun p ->
+                       Cover.cube_eval (Cover.cube_of_string p) (fun k ->
+                           (i lsr k) land 1 = 1))
+                     planes
+                 in
+                 planes <> [] && hit = on_phase)
+           in
+           Bv.equal expected (table_of net arity)));
+  ]
+
 let pla_text =
   {|.i 3
 .o 2
@@ -241,4 +307,4 @@ let pla_tests =
         check_bool "csf" true (Isf.is_completely_specified (snd (List.hd isfs))));
   ]
 
-let suite = network_tests @ blif_tests @ pla_tests
+let suite = network_tests @ blif_tests @ wide_blif_tests @ pla_tests

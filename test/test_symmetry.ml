@@ -307,6 +307,40 @@ let oracle_props =
           done
         done;
         !ok);
+    (* Completely specified vectors half the time, where the test is
+       one equality decision; pairs reach two variables past the
+       support, where every function is trivially exchangeable. *)
+    QCheck2.Test.make ~name:"symmetrizable agrees with the swap_rel oracle"
+      ~count:300
+      QCheck2.Gen.(
+        let* n = int_range 1 6 in
+        let* dc_pct = oneofl [ 0; 0; 15; 50 ] in
+        let cell =
+          let* r = int_bound 99 in
+          if r < dc_pct then return 2 else map (fun b -> if b then 1 else 0) bool
+        in
+        let isf =
+          let+ cells = array_repeat (1 lsl n) cell in
+          let on = Bv.of_fun n (fun i -> cells.(i) = 1) in
+          let dc = Bv.of_fun n (fun i -> cells.(i) = 2) in
+          Isf.make man ~on:(Bv.to_bdd man on) ~dc:(Bv.to_bdd man dc)
+        in
+        let+ fs = list_size (int_range 1 3) isf in
+        (n, fs))
+      (fun (n, fs) ->
+        let ok = ref true in
+        for i = 0 to n + 1 do
+          for j = 0 to n + 1 do
+            List.iter
+              (fun rel ->
+                ok :=
+                  !ok
+                  && Symmetry.symmetrizable man fs ~rel i j
+                     = Oracle.symmetrizable fs ~rel i j)
+              [ false; true ]
+          done
+        done;
+        !ok);
     QCheck2.Test.make ~name:"close_group equals the swap-based oracle"
       ~count:300
       QCheck2.Gen.(
