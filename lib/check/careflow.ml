@@ -204,12 +204,6 @@ let analyze ?care_of_output ?(check = fun () -> ())
     }
   end
 
-let global_of t s =
-  List.find_map
-    (fun info ->
-      if Network.signal_equal info.signal s then Some info.global else None)
-    t.nodes
-
 let limiter ?max_nodes ?timeout m () =
   let node_limit = Option.map (fun b -> Bdd.node_count m + b) max_nodes in
   (* The deadline is wall time on the monotonic clock, never processor

@@ -84,15 +84,13 @@ val analyze :
     output whose care set equals [care_any]); a wrong hint silently
     corrupts ODC results.  The number of skips is {!t.screened}. *)
 
-val global_of : t -> Network.signal -> Bdd.t option
-(** The global function of an analyzed LUT node. *)
-
 val limiter :
   ?max_nodes:int -> ?timeout:float -> Bdd.manager -> unit -> unit -> unit
 (** A ready-made [check] callback for standalone (non-[Budget]) use:
     raises {!Cutoff} once the manager has allocated [max_nodes] fresh
-    BDD nodes beyond its size at limiter creation, or after [timeout]
-    seconds of processor time.  Omitted limits are unlimited. *)
+    BDD nodes beyond its size at limiter creation, or once [timeout]
+    seconds of wall time have passed since then, read on the monotonic
+    clock ({!Mono.now}).  Omitted limits are unlimited. *)
 
 val step_limiter : max_steps:int -> unit -> unit -> unit
 (** A [check] callback that raises {!Cutoff} after [max_steps] polls.

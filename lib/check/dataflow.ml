@@ -63,7 +63,6 @@ let env_network e = e.e_net
 let fanout_arcs e s = e.e_fanouts.(Network.signal_id s)
 let outputs_of e s = e.e_outputs.(Network.signal_id s)
 let input_index e name = Hashtbl.find e.e_inputs name
-let input_count e = e.e_input_count
 
 module type DOMAIN = sig
   type fact

@@ -62,13 +62,6 @@ val fanout_arcs : env -> Network.signal -> Network.signal list
 val outputs_of : env -> Network.signal -> string list
 (** Names of the primary outputs bound directly to this signal. *)
 
-val input_index : env -> string -> int
-(** Dense index of a primary input, [0 .. input_count - 1], in
-    {!Network.inputs} order.
-    @raise Not_found on names that are not primary inputs. *)
-
-val input_count : env -> int
-
 (** A join-semilattice domain with its transfer function.  [transfer]
     must be monotone in the looked-up facts; [join] must be the least
     upper bound (or any sound upper bound); [widen] is applied once a

@@ -53,7 +53,6 @@ val severity_of_code : string -> severity option
 
 val count : severity -> t list -> int
 val errors : t list -> t list
-val max_severity : t list -> severity option
 
 val exit_code : t list -> int
 (** The [mfd lint] policy: [0] when no finding is worse than [Info],

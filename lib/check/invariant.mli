@@ -12,14 +12,11 @@ val well_formed_parts :
     the raw parts (rather than an {!Isf.t}, whose constructor already
     enforces this) so unsafely produced pairs can be vetted too. *)
 
-val refines : Bdd.manager -> coarse:Isf.t -> fine:Isf.t -> bool
-(** Is every extension of [fine] an extension of [coarse]?  (The
-    don't-care phases may only {e commit} don't cares: on-sets and
-    off-sets grow, the interval of extensions shrinks.) *)
-
 val check_refines :
   Bdd.manager -> where:string -> coarse:Isf.t -> fine:Isf.t -> Diagnostic.t option
-(** [DEC002]: {!refines}, as a finding. *)
+(** [DEC002]: every extension of [fine] must be an extension of
+    [coarse].  (The don't-care phases may only {e commit} don't cares:
+    on-sets and off-sets grow, the interval of extensions shrinks.) *)
 
 val check_group_symmetric :
   Bdd.manager -> where:string -> Isf.t list -> Symmetry.group -> Diagnostic.t option

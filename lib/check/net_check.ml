@@ -27,6 +27,25 @@ let canonical_lut fanins tt =
   in
   (sorted, Bv.of_fun k (fun c -> Bv.get tt (remap c)), remap)
 
+let namer net =
+  let n = Network.node_count net in
+  let output_of = Hashtbl.create 16 in
+  List.iter
+    (fun (name, s) ->
+      let i = Network.signal_id s in
+      if not (Hashtbl.mem output_of i) then Hashtbl.add output_of i name)
+    (Network.outputs net);
+  fun s ->
+    let i = Network.signal_id s in
+    if i < 0 || i >= n then Printf.sprintf "n%d" i
+    else
+      match Network.view net s with
+      | `Input name -> name
+      | `Const _ | `Lut _ -> (
+          match Hashtbl.find_opt output_of i with
+          | Some name -> name
+          | None -> Printf.sprintf "n%d" i)
+
 let analyze ?lut_size ?(style = true) net =
   let n = Network.node_count net in
   let findings = ref [] in
@@ -35,25 +54,7 @@ let analyze ?lut_size ?(style = true) net =
     let i = Network.signal_id s in
     i >= 0 && i < n
   in
-  (* Stable human name for a node: its input name, the first output it
-     drives, or a synthetic n<id>. *)
-  let output_of = Hashtbl.create 16 in
-  List.iter
-    (fun (name, s) ->
-      let i = Network.signal_id s in
-      if not (Hashtbl.mem output_of i) then Hashtbl.add output_of i name)
-    (Network.outputs net);
-  let name_of s =
-    let i = Network.signal_id s in
-    if not (in_range s) then Printf.sprintf "n%d" i
-    else
-      match Network.view net s with
-      | `Input name -> name
-      | `Const _ | `Lut _ -> (
-          match Hashtbl.find_opt output_of i with
-          | Some name -> name
-          | None -> Printf.sprintf "n%d" i)
-  in
+  let name_of = namer net in
   (* ---- structural passes ---- *)
   for i = 0 to n - 1 do
     let s = Network.signal_of_id net i in

@@ -23,6 +23,13 @@ val analyze : ?lut_size:int -> ?style:bool -> Network.t -> Diagnostic.t list
     table permuted to match), so duplicates are found regardless of
     fanin order. *)
 
+val namer : Network.t -> Network.signal -> string
+(** [namer net] names nodes stably for reports: an input by its name,
+    any other node by the first primary output it drives, else by a
+    synthetic [n<id>] (also for ids outside the network, so the
+    structural passes can name what they find on a corrupted one).
+    Every report and the rewrite log name nodes this way. *)
+
 val canonical_lut :
   Network.signal array -> Bv.t -> Network.signal array * Bv.t * (int -> int)
 (** [canonical_lut fanins tt]: the fanins sorted by signal id with the

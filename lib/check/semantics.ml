@@ -12,26 +12,8 @@ let rows_blurb rows total =
     (if List.length rows > List.length shown then ",..." else "")
     total
 
-(* Stable human name for a node: input name, first output it drives, or
-   a synthetic n<id> (same convention as Net_check). *)
-let namer net =
-  let output_of = Hashtbl.create 16 in
-  List.iter
-    (fun (name, s) ->
-      let i = Network.signal_id s in
-      if not (Hashtbl.mem output_of i) then Hashtbl.add output_of i name)
-    (Network.outputs net);
-  fun s ->
-    match Network.view net s with
-    | `Input name -> name
-    | `Const _ | `Lut _ -> (
-        let i = Network.signal_id s in
-        match Hashtbl.find_opt output_of i with
-        | Some name -> name
-        | None -> Printf.sprintf "n%d" i)
-
 let of_flow m net flow =
-  let name_of = namer net in
+  let name_of = Net_check.namer net in
   let findings = ref [] in
   let add ?loc code msg = findings := Diagnostic.make ?loc code msg :: !findings in
   let no_care = Bdd.is_zero flow.Careflow.care_any in
@@ -230,15 +212,6 @@ let of_flow m net flow =
       if not (List.exists (fun (k, _, _) -> k = key) dups) then
         add ~loc "SEM006" msg)
     twins;
-  (* SEM008: the analysis was cut short *)
-  (match flow.Careflow.truncated with
-  | Some reason ->
-      add ~loc:"semantics" "SEM008"
-        (Printf.sprintf
-           "analysis truncated (%s): %d of %d nodes analyzed; findings are \
-            partial"
-           reason flow.Careflow.analyzed flow.Careflow.total)
-  | None -> ());
   List.rev !findings
 
 (* The windowed pass half: findings a window result alone justifies.
@@ -247,7 +220,7 @@ let of_flow m net flow =
    set means a globally dead node; a table constant across the
    window-reachable rows is constant everywhere reachable. *)
 let of_windowed net results =
-  let name_of = namer net in
+  let name_of = Net_check.namer net in
   let findings = ref [] in
   let add ?loc code msg = findings := Diagnostic.make ?loc code msg :: !findings in
   List.iter
@@ -300,7 +273,7 @@ let of_windowed net results =
    by the structural support over-approximation — so the report is
    identical whether or not the facts are also used for screening. *)
 let of_dataflow net df =
-  let name_of = namer net in
+  let name_of = Net_check.namer net in
   let findings = ref [] in
   let add ?loc code msg = findings := Diagnostic.make ?loc code msg :: !findings in
   List.iter
@@ -393,36 +366,20 @@ let window_screenable net df s =
       !zero && !one
   | _ -> false
 
-let analyze_report ?care_of_output ?check ?(tfi_depth = 4) ?(tfo_depth = 4)
-    ?(sat_max_conflicts = 2000) ?(sat_timeout = 20.0) ?(dataflow = true) m
-    ~var_of_input net =
-  (* The cheap tier always runs (it is linear and its SUP findings are
-     part of the report either way); [dataflow] only decides whether
-     its facts are allowed to screen the expensive engines. *)
-  let t0 = Mono.now () in
-  let df = Dataflow.analyze net in
-  let sup = of_dataflow net df in
-  let wall_dataflow = Mono.now () -. t0 in
-  let full_observable =
-    if not dataflow then None
-    else Some (full_observable_hint ?care_of_output m net df)
-  in
-  let t1 = Mono.now () in
-  let flow =
-    Careflow.analyze ?care_of_output ?check ?full_observable m ~var_of_input
-      net
-  in
-  let base = of_flow m net flow in
-  let wall_exact = Mono.now () -. t1 in
-  let exact_nodes = flow.Careflow.analyzed in
-  let total_nodes = flow.Careflow.total in
+(* The window stage, shared by the deep lint and the rewrite loop: once
+   the exact engine stops short, every LUT it did not reach is analyzed
+   on its window, except those the dataflow facts prove finding-free,
+   and the coverage of all three tiers is accounted for.  Nothing runs
+   when the exact engine finished.  The wall times of the two earlier
+   tiers are left at zero for the caller that measured them. *)
+let windows ?(sat_timeout = 20.0) ?(dataflow = true) net df flow =
   let coverage ~windowed_nodes ~truncated_nodes ~counters ~screened_windows
       ~wall_sat =
     {
-      exact_nodes;
+      exact_nodes = flow.Careflow.analyzed;
       windowed_nodes;
       truncated_nodes;
-      total_nodes;
+      total_nodes = flow.Careflow.total;
       sat_calls = counters.Complete_dc.sat_calls;
       sat_conflicts = counters.Complete_dc.sat_conflicts;
       windows_built = counters.Complete_dc.windows_built;
@@ -430,24 +387,19 @@ let analyze_report ?care_of_output ?check ?(tfi_depth = 4) ?(tfo_depth = 4)
       df_iterations = Dataflow.iterations df;
       df_facts = Dataflow.fact_count df;
       screened_out = flow.Careflow.screened + screened_windows;
-      wall_dataflow;
-      wall_exact;
+      wall_dataflow = 0.0;
+      wall_exact = 0.0;
       wall_sat;
     }
   in
   match flow.Careflow.truncated with
   | None ->
-      {
-        findings = sup @ base;
-        coverage =
-          coverage ~windowed_nodes:0 ~truncated_nodes:0
-            ~counters:(Complete_dc.counters ()) ~screened_windows:0
-            ~wall_sat:0.0;
-      }
-  | Some reason ->
-      (* the windowed fallback replaces the blanket SEM008 with per-node
-         coverage; only what escapes both engines stays truncated *)
-      let keep = List.filter (fun f -> f.Diagnostic.code <> "SEM008") base in
+      ( [],
+        [],
+        coverage ~windowed_nodes:0 ~truncated_nodes:0
+          ~counters:(Complete_dc.counters ()) ~screened_windows:0
+          ~wall_sat:0.0 )
+  | Some _ ->
       let analyzed = Hashtbl.create 64 in
       List.iter
         (fun info ->
@@ -461,7 +413,7 @@ let analyze_report ?care_of_output ?check ?(tfi_depth = 4) ?(tfo_depth = 4)
              (fun s -> not (Hashtbl.mem analyzed (Network.signal_id s)))
              (Network.lut_signals net))
       in
-      let t2 = Mono.now () in
+      let t0 = Mono.now () in
       let ctx = Window.context net in
       (* SAT effort lands where the cheap tier could not decide: order
          the centers by how many reachability/observability questions
@@ -489,53 +441,77 @@ let analyze_report ?care_of_output ?check ?(tfi_depth = 4) ?(tfo_depth = 4)
           raise (Careflow.Cutoff "windowed-analysis timeout")
       in
       let results = ref [] in
+      let screened = ref [] in
       let too_wide = ref 0 in
       let processed = ref 0 in
-      let screened_windows = ref 0 in
       (try
          Array.iter
            (fun s ->
              (if dataflow && window_screenable net df s then
                 (* proven finding-free: covered without a SAT call *)
-                incr screened_windows
+                screened := s :: !screened
               else
                 match
-                  Complete_dc.analyze_node ~tfi_depth ~tfo_depth
-                    ~max_conflicts:sat_max_conflicts ~simulate:dataflow
-                    ~check:sat_check ~counters ctx s
+                  Complete_dc.analyze_node ~simulate:dataflow ~check:sat_check
+                    ~counters ctx s
                 with
                 | Some r -> results := r :: !results
                 | None -> incr too_wide);
              incr processed)
            remaining
        with Careflow.Cutoff _ -> ());
-      let wall_sat = Mono.now () -. t2 in
-      let windowed_nodes = List.length !results + !screened_windows in
-      let truncated_nodes =
-        Array.length remaining - !processed + !too_wide
-      in
-      let windowed_findings = of_windowed net (List.rev !results) in
+      let wall_sat = Mono.now () -. t0 in
+      let results = List.rev !results and screened = List.rev !screened in
+      let screened_windows = List.length screened in
+      ( results,
+        screened,
+        coverage
+          ~windowed_nodes:(List.length results + screened_windows)
+          ~truncated_nodes:(Array.length remaining - !processed + !too_wide)
+          ~counters ~screened_windows ~wall_sat )
+
+let analyze_report ?care_of_output ?check ?sat_timeout ?(dataflow = true) m
+    ~var_of_input net =
+  (* The cheap tier always runs (it is linear and its SUP findings are
+     part of the report either way); [dataflow] only decides whether
+     its facts are allowed to screen the expensive engines.  Each
+     tier's findings are made as soon as the tier ends. *)
+  let t0 = Mono.now () in
+  let df = Dataflow.analyze net in
+  let sup = of_dataflow net df in
+  let wall_dataflow = Mono.now () -. t0 in
+  let full_observable =
+    if not dataflow then None
+    else Some (full_observable_hint ?care_of_output m net df)
+  in
+  let t1 = Mono.now () in
+  let flow =
+    Careflow.analyze ?care_of_output ?check ?full_observable m ~var_of_input
+      net
+  in
+  let base = of_flow m net flow in
+  let wall_exact = Mono.now () -. t1 in
+  let results, _, coverage = windows ?sat_timeout ~dataflow net df flow in
+  let coverage = { coverage with wall_dataflow; wall_exact } in
+  match flow.Careflow.truncated with
+  | None -> { findings = sup @ base; coverage }
+  | Some reason ->
+      (* per-node coverage: only what escapes both engines is reported
+         as truncated *)
       let trunc_finding =
-        if truncated_nodes > 0 then
+        if coverage.truncated_nodes > 0 then
           [
             Diagnostic.make ~loc:"semantics" "SEM008"
               (Printf.sprintf
                  "analysis truncated (%s): %d of %d nodes analyzed exactly, \
                   %d more via windows, %d escaped both engines; findings are \
                   partial"
-                 reason exact_nodes total_nodes windowed_nodes truncated_nodes);
+                 reason coverage.exact_nodes coverage.total_nodes
+                 coverage.windowed_nodes coverage.truncated_nodes);
           ]
         else []
       in
-      {
-        findings = sup @ keep @ windowed_findings @ trunc_finding;
-        coverage =
-          coverage ~windowed_nodes ~truncated_nodes ~counters
-            ~screened_windows:!screened_windows ~wall_sat;
-      }
-
-let analyze ?care_of_output ?check m ~var_of_input net =
-  of_flow m net (Careflow.analyze ?care_of_output ?check m ~var_of_input net)
+      { findings = sup @ base @ of_windowed net results @ trunc_finding; coverage }
 
 let audit ?care_of_output m ~inputs ~golden ~candidate =
   let var_of_input name =

@@ -28,17 +28,19 @@
     [SEM007] (inequivalence inside the care set) is produced by
     {!audit} and {!audit_sat}.
 
-    Three tiers back the passes.  The cheap tier ({!Dataflow}) always
-    runs first: linear-time abstract interpretation plus deterministic
+    Three tiers back the passes, and one pipeline runs them for every
+    caller (the deep lint, [--check=deep] and the rewrite loop of
+    [Decomp.Optimize]).  The cheap tier ({!Dataflow}) always runs
+    first: linear-time abstract interpretation plus deterministic
     bit-parallel simulation.  It contributes the [SUP*] findings
     directly and — unless screening is disabled — its sound facts let
     the expensive tiers skip work whose answer is already known.  The
     exact engine ({!Careflow}) computes global BDDs and full SDC/ODC
-    sets but blows up on big cones; when its budget trips,
-    {!analyze_report} falls back to the SAT engine — windowed complete
-    don't cares ({!Complete_dc}) for every node the exact engine did
-    not reach — and only the nodes {e no} engine covered are reported
-    as [SEM008] truncation.
+    sets but blows up on big cones.  When its budget trips, the window
+    stage ({!windows}) computes windowed complete don't cares
+    ({!Complete_dc}) for every node the exact engine did not reach;
+    only the nodes {e no} engine covered are reported as [SEM008]
+    truncation.
 
     Screening is a pure observer: because every screen is justified by
     a sound fact (an exactly-known observability set, or a proof the
@@ -74,52 +76,57 @@ type coverage = {
 
 type report = { findings : Diagnostic.t list; coverage : coverage }
 
+val windows :
+  ?sat_timeout:float ->
+  ?dataflow:bool ->
+  Network.t ->
+  Dataflow.t ->
+  Careflow.t ->
+  Complete_dc.node_result list * Network.signal list * coverage
+(** [windows net df flow] is the window stage that follows the exact
+    engine's run [flow] (made with {!full_observable_hint} over [df]
+    when screening is on): [(results, screened, coverage)].  When
+    [flow] was truncated, every LUT it did not reach is a window
+    center.  With screening on, centers are taken in unscreened-fact
+    density order ({!Window.order_by_density}) and those
+    {!window_screenable} proves finding-free are listed in [screened]
+    without a SAT call; every other center is analyzed by
+    {!Complete_dc.analyze_node} at its default depths and per-call
+    conflict budget and listed in [results], decided or not.
+    [sat_timeout] (default 20) caps the stage's wall-clock seconds;
+    centers it leaves out, and centers wider than
+    {!Complete_dc.max_code_bits}, count as [truncated_nodes].  Both
+    lists are in run order.  When [flow] finished, nothing runs and both
+    lists are empty.
+
+    [coverage] accounts for all three tiers, with [wall_dataflow] and
+    [wall_exact] left at [0.]: the caller timed those tiers.
+    [dataflow] (default [true]) as for {!analyze_report}. *)
+
 val analyze_report :
   ?care_of_output:(string -> Bdd.t) ->
   ?check:(unit -> unit) ->
-  ?tfi_depth:int ->
-  ?tfo_depth:int ->
-  ?sat_max_conflicts:int ->
   ?sat_timeout:float ->
   ?dataflow:bool ->
   Bdd.manager ->
   var_of_input:(string -> int) ->
   Network.t ->
   report
-(** Run the cheap dataflow tier, the exact engine, then — when the
-    exact engine was truncated — the windowed SAT analysis over the
-    remainder.  The fallback sees
-    the network but not [care_of_output] (its don't cares are global,
-    hence valid on any care set); it emits [SEM001]/[SEM002]/[SEM003]
-    findings where the window proves them.  [check] budgets only the
-    exact phase (it has typically already tripped when the fallback
-    starts); the fallback is budgeted by [sat_max_conflicts] per
-    solver call (default 2000), [sat_timeout] wall-clock seconds
-    overall (default 20), and window depths [tfi_depth]/[tfo_depth]
-    (default 4/4).
+(** Run the cheap dataflow tier, the exact engine, then the
+    {!windows} stage over whatever the exact engine did not reach.
+    The window stage sees the network but not [care_of_output] (its
+    don't cares are global, hence valid on any care set); it emits
+    [SEM001]/[SEM002]/[SEM003] findings where a window proves them,
+    and one [SEM008] when some node escaped every engine.  [check]
+    budgets only the exact engine (it has typically already tripped
+    when the window stage starts); [sat_timeout] caps the window
+    stage's wall-clock seconds (default 20).
 
     [dataflow] (default [true]) gates only the {e screening} — with it
     off the cheap tier still runs and still emits its [SUP*] findings
     (so reports are comparable across modes), but the exact and SAT
-    engines do all their own work and [screened_out] stays [0].  The
-    SAT fallback additionally orders its centers by unscreened-fact
-    density ({!Window.order_by_density}) when screening is on. *)
-
-val analyze :
-  ?care_of_output:(string -> Bdd.t) ->
-  ?check:(unit -> unit) ->
-  Bdd.manager ->
-  var_of_input:(string -> int) ->
-  Network.t ->
-  Diagnostic.t list
-(** [analyze] is {!analyze_report} without the SAT fallback (the
-    historical exact-only entry): a truncated run yields a partial
-    report plus [SEM008]. *)
-
-val of_flow : Bdd.manager -> Network.t -> Careflow.t -> Diagnostic.t list
-(** The pass half of {!analyze}, for callers that run
-    {!Careflow.analyze} themselves (the decomposition driver does, so
-    it can record the analyzed-node count in its statistics). *)
+    engines do all their own work, window centers run in topological
+    order and [screened_out] stays [0]. *)
 
 val full_observable_hint :
   ?care_of_output:(string -> Bdd.t) ->
@@ -133,30 +140,16 @@ val full_observable_hint :
     {e exactly} the whole care space (the node pointwise drives an
     output whose care set equals the union of all care sets), so the
     exact engine may skip the ODC computation without changing any
-    result.  Exposed so the optimizer can reuse it. *)
+    result.  {!analyze_report} and [Decomp.Optimize] pass it to their
+    exact-engine runs. *)
 
 val window_screenable : Network.t -> Dataflow.t -> Network.signal -> bool
 (** [true] when the dataflow facts prove the windowed SAT analysis of
     this node would report nothing: every fanin code has a concrete
     witness (reachability total), the node pointwise drives an output
     (windowed care non-empty) and the table is non-constant.  Skipping
-    such a node loses no finding and no don't care. *)
-
-val of_dataflow : Network.t -> Dataflow.t -> Diagnostic.t list
-(** The cheap-tier pass: [SUP001] (a fanin the local truth table
-    provably ignores) and [SUP002] (a fanin whose structural input
-    support is contained in the union of the other fanins' — a
-    reconvergence, hence a candidate for exact redundancy pruning).
-    Mode-independent: depends only on the {!Dataflow} facts, never on
-    what the expensive engines did. *)
-
-val of_windowed :
-  Network.t -> Complete_dc.node_result list -> Diagnostic.t list
-(** The windowed pass half: [SEM001] (window-unreachable rows),
-    [SEM002] (empty windowed care set) and [SEM003] (constant on the
-    reachable codes) findings justified by window results alone.
-    Exposed for tests and for callers that window selected nodes
-    themselves. *)
+    such a node loses no finding and no don't care; {!windows} skips
+    it so. *)
 
 val audit :
   ?care_of_output:(string -> Bdd.t) ->

@@ -44,23 +44,6 @@ type outcome = {
   audit : Diagnostic.t list;
 }
 
-(* Stable node names, same convention as the lint reports. *)
-let namer net =
-  let output_of = Hashtbl.create 16 in
-  List.iter
-    (fun (name, s) ->
-      let i = Network.signal_id s in
-      if not (Hashtbl.mem output_of i) then Hashtbl.add output_of i name)
-    (Network.outputs net);
-  fun s ->
-    match Network.view net s with
-    | `Input name -> name
-    | `Const _ | `Lut _ -> (
-        let i = Network.signal_id s in
-        match Hashtbl.find_opt output_of i with
-        | Some name -> name
-        | None -> Printf.sprintf "n%d" i)
-
 (* ---- per-node facts, from either analysis engine ---- *)
 
 type facts = {
@@ -137,122 +120,56 @@ let facts_of_window net r =
    reachability; these are exactly the facts [facts_of_window] would
    have produced for it, at zero SAT cost. *)
 let facts_of_screened net s =
-  match Network.view net s with
-  | `Input _ | `Const _ -> None
-  | `Lut (fanins, _) ->
-      let k = Array.length fanins in
-      Some
-        {
-          fa_signal = s;
-          fa_free = Bv.create k false;
-          fa_unreach = Bv.create k false;
-          fa_dead = false;
-          fa_const = None;
-          fa_const_exact = None;
-          fa_global = None;
-        }
+  let k = List.length (Network.fanins net s) in
+  {
+    fa_signal = s;
+    fa_free = Bv.create k false;
+    fa_unreach = Bv.create k false;
+    fa_dead = false;
+    fa_const = None;
+    fa_const_exact = None;
+    fa_global = None;
+  }
 
 type analysis = {
   an_facts : facts list;  (* topological order *)
   an_care_any : Bdd.t;
   an_outputs : (string * Bdd.t) list;  (* exact forward pass, may be [] *)
   an_cares : (string * Bdd.t) list;
-  an_df : Dataflow.t option;  (* cheap-tier facts, when screening is on *)
+  an_df : Dataflow.t;  (* cheap-tier facts *)
 }
 
-let analyze_network ?care_of_output ?(dataflow = true) ~analysis_nodes
-    ~analysis_timeout ?stats m ~var_of_input net =
-  let df = if dataflow then Some (Dataflow.analyze net) else None in
-  (match (stats, df) with
-  | Some st, Some df ->
-      st.Stats.df_iterations <- st.Stats.df_iterations + Dataflow.iterations df;
-      st.Stats.df_facts <- st.Stats.df_facts + Dataflow.fact_count df
-  | _ -> ());
+(* The deep lint's three tiers: dataflow, the exact engine screened by
+   it, then the shared window stage for whatever the engine did not
+   reach.  Window and screened facts are put back in node id order, so
+   [decide] sees every fact in topological order whatever order the
+   windows ran in. *)
+let analyze_network ?care_of_output ?check ?stats m ~var_of_input net =
+  let df = Dataflow.analyze net in
   let full_observable =
-    Option.map (Semantics.full_observable_hint ?care_of_output m net) df
+    Semantics.full_observable_hint ?care_of_output m net df
   in
   let check =
-    Careflow.limiter ~max_nodes:analysis_nodes ~timeout:analysis_timeout m ()
+    match check with
+    | Some check -> check
+    | None -> Careflow.limiter ~max_nodes:4_000_000 ~timeout:30.0 m ()
   in
   let flow =
-    Careflow.analyze ?care_of_output ?full_observable ~check m ~var_of_input
+    Careflow.analyze ?care_of_output ~full_observable ~check m ~var_of_input
       net
   in
-  (match stats with
-  | Some st ->
-      st.Stats.screened_out <- st.Stats.screened_out + flow.Careflow.screened
-  | None -> ());
+  let results, screened, coverage = Semantics.windows net df flow in
+  Option.iter (fun st -> Stats.add_coverage st coverage) stats;
   let exact =
     List.map (facts_of_exact m flow.Careflow.care_any) flow.Careflow.nodes
   in
   let windowed =
-    match flow.Careflow.truncated with
-    | None -> []
-    | Some _ ->
-        let analyzed = Hashtbl.create 64 in
-        List.iter
-          (fun f -> Hashtbl.replace analyzed (Network.signal_id f.fa_signal) ())
-          exact;
-        let remaining =
-          List.filter
-            (fun s -> not (Hashtbl.mem analyzed (Network.signal_id s)))
-            (Network.lut_signals net)
-        in
-        let ctx = Window.context net in
-        let counters = Complete_dc.counters () in
-        (* Monotonic wall time, never processor time: a CPU-time clock
-           advances at N-times wall rate under worker domains (deadline
-           fires early) and barely advances while blocked (never
-           fires).  The srclint rules keep it that way. *)
-        let deadline = Mono.now () +. 20.0 in
-        let sat_check () =
-          if Mono.now () > deadline then
-            raise (Careflow.Cutoff "windowed-analysis timeout")
-        in
-        let results = ref [] in
-        let screened = ref 0 in
-        (try
-           List.iter
-             (fun s ->
-               match df with
-               | Some df when Semantics.window_screenable net df s -> (
-                   (* proven finding-free: same facts, no SAT call *)
-                   match facts_of_screened net s with
-                   | Some f ->
-                       incr screened;
-                       results := f :: !results
-                   | None -> ())
-               | _ -> (
-                   match
-                     Complete_dc.analyze_node ~max_conflicts:2000
-                       ~simulate:dataflow ~check:sat_check ~counters ctx s
-                   with
-                   | Some r -> (
-                       match facts_of_window net r with
-                       | Some f -> results := f :: !results
-                       | None -> ())
-                   | None -> ()))
-             remaining
-         with Careflow.Cutoff _ -> ());
-        (match stats with
-        | Some st ->
-            st.Stats.sat_calls <-
-              st.Stats.sat_calls + counters.Complete_dc.sat_calls;
-            st.Stats.sat_conflicts <-
-              st.Stats.sat_conflicts + counters.Complete_dc.sat_conflicts;
-            st.Stats.windows_built <-
-              st.Stats.windows_built + counters.Complete_dc.windows_built;
-            st.Stats.screened_out <- st.Stats.screened_out + !screened
-        | None -> ());
-        List.rev !results
+    List.sort
+      (fun a b ->
+        compare (Network.signal_id a.fa_signal) (Network.signal_id b.fa_signal))
+      (List.filter_map (facts_of_window net) results
+      @ List.map (facts_of_screened net) screened)
   in
-  (match stats with
-  | Some st ->
-      st.Stats.sem_nodes <-
-        st.Stats.sem_nodes + List.length exact + List.length windowed;
-      if flow.Careflow.truncated <> None then
-        st.Stats.sem_truncations <- st.Stats.sem_truncations + 1
-  | None -> ());
   {
     an_facts = exact @ windowed;
     an_care_any = flow.Careflow.care_any;
@@ -335,7 +252,7 @@ let prune_fanins ?only fanins tt free =
    per-node decisions, the output redirections (duplicate output ->
    representative output) and the action log. *)
 let decide ~screened tier m net an =
-  let name_of = namer net in
+  let name_of = Net_check.namer net in
   let no_care = Bdd.is_zero an.an_care_any in
   let decisions = Hashtbl.create 64 in
   let redirects = ref [] in
@@ -530,16 +447,13 @@ let decide ~screened tier m net an =
           | `Input _ | `Const _ -> ()
           | `Lut (fanins, tt) ->
               let only =
-                match an.an_df with
-                | Some df when Bv.is_zero (free_of f) -> (
-                    match Dataflow.fact_of df f.fa_signal with
-                    | Some nf ->
-                        Some
-                          (List.sort_uniq compare
-                             (nf.Dataflow.nf_vacuous
-                             @ nf.Dataflow.nf_contained))
-                    | None -> None)
-                | _ -> None
+                if not (Bv.is_zero (free_of f)) then None
+                else
+                  Option.map
+                    (fun nf ->
+                      List.sort_uniq compare
+                        (nf.Dataflow.nf_vacuous @ nf.Dataflow.nf_contained))
+                    (Dataflow.fact_of an.an_df f.fa_signal)
               in
               let fanins = Array.to_list fanins in
               if fanins <> [] then
@@ -631,8 +545,7 @@ let rebuild net decisions redirects =
 
 type attempt = Accepted of Network.t * action list | Rejected | Nothing
 
-let run ?care_of_output ?(max_passes = 4) ?(audit_engine = `Bdd)
-    ?(analysis_nodes = 4_000_000) ?(analysis_timeout = 30.0) ?(dataflow = true)
+let run ?care_of_output ?(max_passes = 4) ?(audit_engine = `Bdd) ?check
     ?stats m net0 =
   let inputs = List.mapi (fun k (name, _) -> (name, k)) (Network.inputs net0) in
   let var_of_input name =
@@ -667,10 +580,7 @@ let run ?care_of_output ?(max_passes = 4) ?(audit_engine = `Bdd)
   let rec loop net passes reverted actions =
     if passes >= max_passes then (net, passes, reverted, actions)
     else begin
-      let an =
-        analyze_network ?care_of_output ~dataflow ~analysis_nodes
-          ~analysis_timeout ?stats m ~var_of_input net
-      in
+      let an = analyze_network ?care_of_output ?check ?stats m ~var_of_input net in
       let attempt tier =
         let screened = ref 0 in
         let decisions, redirects, acts = decide ~screened tier m net an in

@@ -2,8 +2,8 @@
     reporter into an optimizer.
 
     Each pass analyzes the current network (exact {!Careflow} SDC/ODC
-    dataflow, with the windowed SAT fallback of [Check.Complete_dc] for
-    the nodes the exact engine's budget cannot reach), derives rewrites
+    dataflow, with the window stage of {!Semantics} for the nodes
+    the exact engine's budget cannot reach), derives rewrites
     from the facts behind the [SEM*] findings, rebuilds the network and
     {e audits the candidate against the original input} with the
     care-set-aware equivalence audit before accepting it:
@@ -58,9 +58,7 @@ val run :
   ?care_of_output:(string -> Bdd.t) ->
   ?max_passes:int ->
   ?audit_engine:[ `Bdd | `Sat ] ->
-  ?analysis_nodes:int ->
-  ?analysis_timeout:float ->
-  ?dataflow:bool ->
+  ?check:(unit -> unit) ->
   ?stats:Stats.t ->
   Bdd.manager ->
   Network.t ->
@@ -72,15 +70,25 @@ val run :
     4).  [audit_engine] selects the guard: [`Bdd] (default) is the
     care-set-aware BDD audit, [`Sat] the CDCL miter — stricter (it
     ignores [care_of_output] and demands full equivalence) but immune
-    to BDD blow-up.  [analysis_nodes]/[analysis_timeout] budget each
-    pass's exact dataflow (defaults 4M BDD nodes / 30 s) before the
-    windowed fallback takes over.  [dataflow] (default [true]) lets
-    the cheap {!Check.Dataflow} tier screen the expensive engines —
-    exactly-known observability sets skip exact ODC computations,
-    finding-free windows skip SAT calls, and fanin pruning restricts
-    its trials to the tier's redundancy candidates; every screen is
-    justified by a sound fact, so no rewrite the engines could justify
-    is lost, and the audit guards every candidate either way.  [stats]
-    mirrors the analysis coverage, SAT and dataflow-screen counters
-    ([sat_calls], [sat_conflicts], [windows_built], [df_iterations],
-    [df_facts], [screened_out]) like the decomposition driver does. *)
+    to BDD blow-up.
+
+    Each pass analyzes the network the way the deep lint does
+    ({!Semantics.analyze_report}): the cheap {!Dataflow} tier, the
+    exact engine screened by it, then the shared window stage
+    ({!Semantics.windows}) for every node the exact engine did not
+    reach.  [check] is the exact engine's budget hook, polled by every
+    pass (as in [--check=deep] and [mfd lint --deep]; it may raise
+    {!Careflow.Cutoff}); without it each pass gets a fresh
+    {!Careflow.limiter} of 4M BDD nodes or 30 s.  The window
+    stage keeps its own 20 s budget.  Every screen is justified by a
+    sound fact, so no rewrite the engines could justify is lost, and
+    fanin pruning restricts its trials to the dataflow tier's
+    redundancy candidates; the audit guards every candidate either
+    way.
+
+    [stats] gains each pass's analysis coverage through
+    {!Stats.add_coverage} ([sem_nodes], [sem_truncations], [sat_calls],
+    [sat_conflicts], [windows_built], [df_iterations], [df_facts],
+    [screened_out]), as the decomposition driver's deep check does,
+    plus the SAT audit's calls and conflicts and the fanin-pruning
+    trials the dataflow facts skip ([screened_out]). *)

@@ -26,9 +26,13 @@ type t = {
   mutable evicted : int;  (** entries dropped by invalidation *)
   mutable budget_checks : int;  (** {!Budget.check} polls performed *)
   mutable sem_nodes : int;
-      (** LUT nodes analyzed by the deep semantic (SDC/ODC) pass *)
+      (** LUT nodes the deep semantic (SDC/ODC) analysis covered: exact
+          nodes plus windowed ones, undecided windows included *)
   mutable sem_truncations : int;
-      (** semantic passes cut short by the budget (at most 1 per run) *)
+      (** semantic analyses that left some node covered by no engine
+          (see {!add_coverage}), at most 1 per deep-checked run or
+          optimize pass.  An exact engine stopped by its budget does
+          not count when the windows covered every node it missed. *)
   mutable sat_calls : int;
       (** CDCL solver invocations by the windowed don't-care fallback
           and the SAT audit (mirrored from the check layer, like

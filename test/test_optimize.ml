@@ -58,6 +58,25 @@ let dead_net () =
   Network.set_output net "g" (Network.and_gate net e c);
   net
 
+(* v reads (a, b) but its table ignores b, which only a foreign
+   producer can leave behind ([Network.add_lut] drops such fanins).  v
+   drives an output directly and every code of (a, b) is reached, so the
+   window stage screens v without a SAT call, and only v's screened
+   facts let the fanin pruning drop b.  w's and(a, c) is masked by d,
+   so it needs a real window. *)
+let vacuous_net () =
+  let net = Network.create () in
+  let a = Network.add_input net "a"
+  and b = Network.add_input net "b"
+  and c = Network.add_input net "c"
+  and d = Network.add_input net "d" in
+  let v = Network.and_gate net a b in
+  Network.Unsafe.set_lut net v ~fanins:[| a; b |] ~tt:(tt "0101");
+  Network.set_output net "v" v;
+  Network.set_output net "w"
+    (Network.and_gate net (Network.and_gate net a c) d);
+  net
+
 let luts net = (Network.stats net).Network.lut_count
 
 let unit_tests =
@@ -104,6 +123,33 @@ let unit_tests =
         let o = Optimize.run ~audit_engine:`Sat m (dups_net ()) in
         check_int "after" 3 o.Optimize.luts_after;
         check_bool "audit clean" true (o.Optimize.audit = []));
+    Alcotest.test_case "window facts alone shrink the examples" `Quick
+      (fun () ->
+        (* A starved exact engine leaves every node to the window stage:
+           the windowed and screened facts must find the same wins as
+           the exact engine, and the windows must cover every node. *)
+        List.iter
+          (fun (name, net, before, after) ->
+            let m = Bdd.manager () in
+            let stats = Stats.create () in
+            let o =
+              Optimize.run ~stats
+                ~check:(Careflow.step_limiter ~max_steps:0 ())
+                m (net ())
+            in
+            check_int (name ^ ": before") before o.Optimize.luts_before;
+            check_int (name ^ ": after") after o.Optimize.luts_after;
+            check_bool (name ^ ": audit clean") true (o.Optimize.audit = []);
+            check_bool (name ^ ": equivalent") true (equivalent (net ()) o);
+            check_bool (name ^ ": windows built") true
+              (stats.Stats.windows_built > 0);
+            check_int (name ^ ": nothing truncated") 0
+              stats.Stats.sem_truncations)
+          [
+            ("dups", dups_net, 6, 3);
+            ("dead", dead_net, 5, 2);
+            ("vacuous", vacuous_net, 3, 2);
+          ]);
     Alcotest.test_case "stats mirror the analysis counters" `Quick (fun () ->
         let m = Bdd.manager () in
         let stats = Stats.create () in

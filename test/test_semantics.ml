@@ -24,14 +24,16 @@ let has ?loc code findings =
       && match loc with None -> true | Some l -> f.Diagnostic.loc = Some l)
     findings
 
-let analyze ?care_of_output ?check net =
-  let m = Bdd.manager () in
+let report ?(m = Bdd.manager ()) ?care_of_output ?check net =
   let var_of_input =
     let tbl = Hashtbl.create 8 in
     List.iteri (fun k (name, _) -> Hashtbl.add tbl name k) (Network.inputs net);
     fun name -> Hashtbl.find tbl name
   in
-  Semantics.analyze ?care_of_output ?check m ~var_of_input net
+  Semantics.analyze_report ?care_of_output ?check m ~var_of_input net
+
+let analyze ?m ?care_of_output net =
+  (report ?m ?care_of_output net).Semantics.findings
 
 (* x -> g = and(x,y) implies the or-LUT over (g, x) can never see
    g=1, x=0: its row 1 is a satisfiability don't care. *)
@@ -147,31 +149,35 @@ let sem_tests =
                || not (contains f.Diagnostic.message "SEM006"))
              fs));
     Alcotest.test_case "SEM008: budget truncation" `Quick (fun () ->
-        let net = sem001_net () in
-        let calls = ref 0 in
-        let check () =
-          incr calls;
-          if !calls > 1 then raise (Careflow.Cutoff "test budget")
+        (* w, a 9-input parity LUT, is wider than any window center may
+           be, so once the exact engine is starved no engine covers it;
+           o = and(w, x0) is still covered by its window. *)
+        let k = Complete_dc.max_code_bits + 1 in
+        let net = Network.create () in
+        let x =
+          Array.init k (fun i -> Network.add_input net (Printf.sprintf "x%d" i))
         in
-        let fs = analyze ~check net in
-        check_bool "sem008" true (has "SEM008" fs));
+        let parity c =
+          let rec go c = c <> 0 && (c land 1 = 1) <> go (c lsr 1) in
+          go c
+        in
+        let w =
+          Network.add_lut net ~fanins:(Array.to_list x) ~tt:(Bv.of_fun k parity)
+        in
+        Network.set_output net "o" (Network.and_gate net w x.(0));
+        let r = report ~check:(Careflow.step_limiter ~max_steps:0 ()) net in
+        check_bool "sem008" true (has ~loc:"semantics" "SEM008" r.Semantics.findings);
+        let c = r.Semantics.coverage in
+        check_int "exact" 0 c.Semantics.exact_nodes;
+        check_int "w alone escapes" 1 c.Semantics.truncated_nodes;
+        check_int "o is windowed" 1 c.Semantics.windowed_nodes);
     Alcotest.test_case "no care set silences the dataflow" `Quick (fun () ->
         (* With an empty care set nothing is observable and nothing is
            reachable; the passes must not drown the report in findings
            that only reflect the vacuous care space. *)
         let m = Bdd.manager () in
-        let net = sem004_net () in
-        let var_of_input =
-          let tbl = Hashtbl.create 8 in
-          List.iteri
-            (fun k (name, _) -> Hashtbl.add tbl name k)
-            (Network.inputs net);
-          fun name -> Hashtbl.find tbl name
-        in
         let fs =
-          Semantics.analyze
-            ~care_of_output:(fun _ -> Bdd.zero m)
-            m ~var_of_input net
+          analyze ~m ~care_of_output:(fun _ -> Bdd.zero m) (sem004_net ())
         in
         check_bool "no sem001" false (has "SEM001" fs);
         check_bool "no sem002" false (has "SEM002" fs);

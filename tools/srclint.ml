@@ -31,6 +31,10 @@ let in_mono path = under "lib/mono" path
 let decide =
   "builds a BDD only to answer yes or no; ask Bdd.disjoint or Bdd.leq"
 
+let window_stage =
+  "the window stage has one home, Semantics.windows in lib/check; call \
+   it (or Semantics.analyze_report) instead of a second copy"
+
 let rules =
   [
     {
@@ -98,6 +102,16 @@ let rules =
       pattern = "is_one (Bdd.imp";
       scope = in_lib;
       why = decide;
+    };
+    {
+      pattern = "Complete_dc.analyze_node";
+      scope = (fun p -> not (under "lib/check" p));
+      why = window_stage;
+    };
+    {
+      pattern = "Window.context";
+      scope = (fun p -> not (under "lib/check" p));
+      why = window_stage;
     };
     {
       pattern = "failwith";
