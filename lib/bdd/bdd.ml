@@ -66,20 +66,13 @@ let node_count m = m.next_id - 2
 let zero _ = Zero
 let one _ = One
 let equal a b = id a = id b
-let compare a b = Int.compare (id a) (id b)
-let hash = id
 let is_zero = function Zero -> true | One | Node _ -> false
 let is_one = function One -> true | Zero | Node _ -> false
-let is_const = function Zero | One -> true | Node _ -> false
 
 let view = function
   | Zero -> `Zero
   | One -> `One
   | Node { v; lo; hi; _ } -> `Node (v, lo, hi)
-
-let top_var = function
-  | Node { v; _ } -> v
-  | Zero | One -> invalid_arg "Bdd.top_var: constant"
 
 (* Slot index material for three ints: odd multipliers, then the high
    bits folded onto the low ones that a power-of-two mask keeps. *)
@@ -620,8 +613,6 @@ let rec equal_on m ~care f g =
       cache_add m k0 fi gi (verdict b);
       b
 
-let miter m pairs = or_list m (List.map (fun (f, g) -> xor m f g) pairs)
-
 let sat_count m f ~nvars =
   ignore m;
   let cache = Hashtbl.create 64 in
@@ -659,6 +650,16 @@ let eval f assignment =
     | Node { v; lo; hi; _ } -> if assignment v then go hi else go lo
   in
   go f
+
+(* One path: branch [a] at [v], bit [u land 63] of [word] at any other
+   [u].  Top level and tail recursive, so it allocates nothing. *)
+let rec eval_cof f v a word =
+  match f with
+  | Zero -> false
+  | One -> true
+  | Node n ->
+      let b = if n.v = v then a else (word lsr (n.v land 63)) land 1 = 1 in
+      eval_cof (if b then n.hi else n.lo) v a word
 
 let any_sat f =
   let rec go f acc =

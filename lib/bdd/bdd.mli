@@ -26,7 +26,8 @@
     asked with {!disjoint}, {!leq}, {!equal_on}, {!equal_cof} or
     {!leq_cof}.  Building the conjunction, the difference or the
     cofactors only to compare them creates nodes that nothing else
-    reads.
+    reads.  A cofactor's value at one assignment, a cheap filter
+    before {!equal_cof}, is read by {!eval_cof} down one path.
 
     Mixing nodes of different managers in one operation is a programming
     error; it is detected (cheaply, via node ids) only by assertions.
@@ -80,20 +81,13 @@ val nvar : manager -> int -> t
 (** {1 Structure} *)
 
 val equal : t -> t -> bool
-val compare : t -> t -> int
-val hash : t -> int
 val id : t -> int
 
 val is_zero : t -> bool
 val is_one : t -> bool
-val is_const : t -> bool
 
 val view : t -> [ `Zero | `One | `Node of int * t * t ]
 (** [`Node (v, lo, hi)] exposes the top variable and the two cofactors. *)
-
-val top_var : t -> int
-(** Top variable of a non-constant node. @raise Invalid_argument on
-    constants. *)
 
 (** {1 Boolean operations} *)
 
@@ -153,9 +147,6 @@ val restrict : manager -> t -> int -> bool -> t
 (** [restrict m f v b] is the cofactor of [f] with variable [v] fixed
     to [b]. *)
 
-val cofactor2 : manager -> t -> int -> t * t
-(** [cofactor2 m f v] is [(restrict f v false, restrict f v true)]. *)
-
 val exists : manager -> int list -> t -> t
 val forall : manager -> int list -> t -> t
 
@@ -195,17 +186,21 @@ val size : t -> int
 val size_list : t list -> int
 (** Nodes of the shared DAG of a list of functions. *)
 
-val miter : manager -> (t * t) list -> t
-(** [miter m pairs] is the disjunction of the pairwise differences
-    [f xor g] — the classic equivalence miter: satisfiable exactly
-    where some pair disagrees. *)
-
 val sat_count : manager -> t -> nvars:int -> float
 (** Number of satisfying assignments over [nvars] variables (variables
     must all be in [0 .. nvars-1]). *)
 
 val eval : t -> (int -> bool) -> bool
 (** Evaluate under an assignment. *)
+
+val eval_cof : t -> int -> bool -> int -> bool
+(** [eval_cof f v a word] is [f|v=a] at the assignment that gives every
+    other variable [u] bit [u land 63] of [word]: one walk down one
+    path of [f], taking branch [a] at a node on [v].  It builds no node
+    and allocates nothing.  Equal cofactors give equal values at every
+    [word], so a few words sign a cofactor cheaply: the bound-set
+    search compares split halves with {!equal_cof} only when their
+    signatures agree. *)
 
 val any_sat : t -> (int * bool) list
 (** One satisfying path (empty for [one]).  @raise Not_found on [zero]. *)

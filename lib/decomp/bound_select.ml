@@ -4,10 +4,9 @@ let worst = Cost.worst
    cofactored over [bound inter supp f] only: fixing a variable outside
    its support leaves every cofactor the same node, so the vector over
    the intersection, read through the projection, gives exactly the
-   classes of the vector over [bound].  With [decide], the search's
-   target size, no vector over the intersection is built: the classes
-   are decided on the halves of its parent's entries
-   ([Classes.split]). *)
+   classes of the vector over [bound].  With [decide] (the search), no
+   vector over the intersection is built: the classes are decided on
+   the halves of its parent's entries ([Classes.split]). *)
 let score_against ?cache ?stats ?(lut_size = max_int) ?(cost = Cost.area)
     ~decide m isfs supports bound =
   let stats =
@@ -60,6 +59,8 @@ let score_against ?cache ?stats ?(lut_size = max_int) ?(cost = Cost.area)
               acc + max 0 (List.length sub - Bits.ceil_log2 own))
             0 relevant
         in
+        stats.Stats.split_compares <-
+          stats.Stats.split_compares + Classes.compares classes;
         let joint = Classes.count classes in
         (* Net benefit: support reduction minus the realization cost of the
            decomposition functions.  ceil(log2 joint) is the paper's lower
@@ -112,11 +113,28 @@ let select_with_target ?cache ?cost ?(check = ignore) ?(min_size = 2) m cfg
     (* Every candidate is scored against the same ISFs: read each
        support once per search. *)
     let supports = List.map (Isf.support m) isfs in
-    (* A candidate at the target size is never extended: its classes
-       are decided, and only smaller ones build (and cache) vectors. *)
+    (* Every candidate is decided on the halves of a cached parent
+       vector; only the growth's winners build theirs ([commit]). *)
     let score bound =
-      score_against ?cache ~lut_size:cfg.Config.lut_size ?cost
-        ~decide:(List.length bound = target) m isfs supports bound
+      score_against ?cache ~lut_size:cfg.Config.lut_size ?cost ~decide:true m
+        isfs supports bound
+    in
+    (* The growth extends [current] by one piece per level, so each
+       ISF's vector over [current inter supp f] is the parent every
+       split of the next level reads: build it once, from its own
+       cached parent.  Without a cache a split builds its parent
+       anyway. *)
+    let commit current =
+      match cache with
+      | Some c when List.length current < target ->
+          let current = List.sort compare current in
+          List.iter2
+            (fun f support ->
+              ignore
+                (Classes.cofactor_vector ~cache:c m f
+                   (Classes.inter current support)))
+            isfs supports
+      | Some _ | None -> ()
     in
     let in_eligible v = List.mem v eligible in
     (* Atoms: symmetry groups cut down to eligible variables, split into
@@ -183,7 +201,9 @@ let select_with_target ?cache ?cost ?(check = ignore) ?(min_size = 2) m cfg
                   (List.hd scored |> fst, List.hd scored |> snd)
                   (List.tl scored)
               in
-              loop acc (snd best @ current)
+              let current = snd best @ current in
+              commit current;
+              loop acc current
         end
       in
       loop [] seed

@@ -61,11 +61,12 @@ val select :
     (default {!Cost.area}) supplies the objective every candidate is
     scored under.  [check] (default a no-op) is polled once per
     candidate scored and may raise to abandon the search — the
-    {!Budget} governor polls here.  Candidates below the target size
-    build (and cache) their cofactor vectors, because the growth
-    extends them; a candidate at the target size is scored by deciding
-    which halves of its cached parent vector's entries are equal
-    ({!Classes.split}), with the score {!score} gives. *)
+    {!Budget} governor polls here.  Every candidate is scored by
+    deciding which halves of its cached parent vector's entries are
+    equal ({!Classes.split}), with the score {!score} gives.  With
+    [cache], the growth builds (and caches) one vector per ISF per
+    level: that of the candidate it commits to, the parent of every
+    split of the next level. *)
 
 val select_curtis :
   ?cache:Score_cache.t ->

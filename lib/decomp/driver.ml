@@ -529,15 +529,22 @@ let decompose_report ?(cfg = Config.default) ?(budget = Budget.unlimited)
        synthesis (2-3 input LUTs), where symmetric carry/weight
        functions have no reducing bound set within the LUT size
        and need a compressor step; at larger LUT sizes they rarely
-       pay for their sub-networks. *)
+       pay for their sub-networks.  A retry's search and step are
+       charged to their own phases. *)
     let curtis extra =
       cfg.Config.lut_size <= 3
-      && (match
-            Bound_select.select_curtis ~cache ~cost ~check:select_check ~extra
-              m cfg ~groups ~eligible:region (Array.to_list isfs)
-          with
-         | Some b2 when b2 <> bound -> try_step b2
-         | Some _ | None -> false)
+      &&
+      let b2 =
+        Bound_select.select_curtis ~cache ~cost ~check:select_check ~extra m
+          cfg ~groups ~eligible:region (Array.to_list isfs)
+      in
+      phase "bound-select";
+      match b2 with
+      | Some b2 when b2 <> bound ->
+          let ok = try_step b2 in
+          phase "step";
+          ok
+      | Some _ | None -> false
     in
     let step_ok = step_ok || curtis 1 || curtis 2 in
     worklist := !alpha_items @ Array.to_list participants @ others;

@@ -15,9 +15,11 @@
    cofactors from the root; the greedy growth of Bound_select then
    reuses the current candidate's vector for every extension it
    scores, and Curtis retries and later driver iterations reuse
-   whatever the earlier searches left behind.  A candidate at the
-   search's target size is never extended, so [split] hands back the
-   parent vector for its halves to be compared, and stores nothing. *)
+   whatever the earlier searches left behind.  The search decides every
+   candidate: [split] hands back the parent vector for its halves to be
+   compared, and stores nothing.  Only the candidate the growth commits
+   to gets its vector built, and every split of the next level reads it
+   as the parent. *)
 
 type isf_key = int * int
 
@@ -129,7 +131,3 @@ let retain t ~live =
     t.scores;
   let after = Hashtbl.length t.cof + Hashtbl.length t.scores in
   t.stats.Stats.evicted <- t.stats.Stats.evicted + (before - after)
-
-let clear t =
-  Hashtbl.reset t.cof;
-  Hashtbl.reset t.scores

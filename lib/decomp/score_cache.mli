@@ -15,8 +15,8 @@
     (equal functions share one node, hence one id) and {!Bdd} never
     collects nodes, so an id is never reused for another function.  A
     kernel that garbage-collects or renumbers nodes breaks that second
-    condition and must {!clear} every cache bound to the manager when
-    it does. *)
+    condition and must drop every cache bound to the manager when it
+    does. *)
 
 type t
 
@@ -38,7 +38,7 @@ val cofactor_vector : t -> Isf.t -> int list -> Isf.t array
     candidates that differ only outside an ISF's support share that
     ISF's vector. *)
 
-(** What the bound-set search reads at its target size. *)
+(** What the bound-set search reads for a candidate. *)
 type cofactors =
   | Vector of Isf.t array  (** the vector over the bound set *)
   | Split of Isf.t array * int
@@ -50,10 +50,12 @@ val split : t -> Isf.t -> int list -> cofactors
     vector when there is one (a hit), else a [Split] of the vector over
     [bound] without one variable, chosen and built as
     {!cofactor_vector} chooses and builds a parent (a decided lookup).
-    It stores no vector over [bound]: the search's candidates at its
-    target size are never extended, so their halves are compared
-    ({!Classes.refine}) rather than built.  Every lookup is exactly one
-    of a hit, an extension, a fresh build or a decided split. *)
+    It stores no vector over [bound]: the search scores every candidate
+    by comparing its halves ({!Classes.refine}), and builds with
+    {!cofactor_vector} only the vector of the candidate its growth
+    commits to, the parent of the next level's splits.  Every lookup
+    is exactly one of a hit, an extension, a fresh build or a decided
+    split. *)
 
 type score_key
 
@@ -74,5 +76,3 @@ val retain : t -> live:Isf.t list -> unit
     the driver after a committed step rewrites participant ISFs; pure
     memory hygiene — lookups of dead keys cannot collide with live
     ones because ids identify functions exactly. *)
-
-val clear : t -> unit

@@ -6,6 +6,7 @@ type t = {
   mutable cof_extends : int;
   mutable cof_fresh : int;
   mutable cof_decided : int;
+  mutable split_compares : int;
   mutable restricts : int;
   mutable retains : int;
   mutable evicted : int;
@@ -32,6 +33,7 @@ let create () =
     cof_extends = 0;
     cof_fresh = 0;
     cof_decided = 0;
+    split_compares = 0;
     restricts = 0;
     retains = 0;
     evicted = 0;
@@ -60,6 +62,7 @@ let counter_fields =
     ("cof_extends", (fun t -> t.cof_extends), fun t v -> t.cof_extends <- v);
     ("cof_fresh", (fun t -> t.cof_fresh), fun t v -> t.cof_fresh <- v);
     ("cof_decided", (fun t -> t.cof_decided), fun t v -> t.cof_decided <- v);
+    ("split_compares", (fun t -> t.split_compares), fun t v -> t.split_compares <- v);
     ("restricts", (fun t -> t.restricts), fun t v -> t.restricts <- v);
     ("retains", (fun t -> t.retains), fun t v -> t.retains <- v);
     ("evicted", (fun t -> t.evicted), fun t v -> t.evicted <- v);
@@ -206,12 +209,13 @@ let pp fmt t =
   Format.fprintf fmt
     "@[<v>score calls %d, memo hits %d (%.1f%%)@,\
      cofactor vectors: %d lookups, %d cached, %d extended, %d fresh, %d decided \
-     (reuse %.1f%%)@,\
+     (reuse %.1f%%); %d half comparisons@,\
      isf restricts %d; cache retains %d (evicted %d entries)@]"
     t.score_calls t.score_hits
     (100.0 *. score_hit_rate t)
     t.cof_lookups t.cof_hits t.cof_extends t.cof_fresh t.cof_decided
     (100.0 *. cof_hit_rate t)
+    t.split_compares
     t.restricts t.retains t.evicted;
   if t.sem_nodes > 0 || t.sem_truncations > 0 then
     Format.fprintf fmt "@,semantic dataflow: %d node(s) analyzed, %d truncation(s)"

@@ -19,8 +19,11 @@ type t = {
       (** vectors built incrementally from a cached subset *)
   mutable cof_fresh : int;  (** vectors built from the root *)
   mutable cof_decided : int;
-      (** target-size requests answered by deciding which halves of a
+      (** scoring requests answered by deciding which halves of a
           cached parent vector's entries are equal; no vector built *)
+  mutable split_compares : int;
+      (** half comparisons ({!Bdd.equal_cof} confirmations) those
+          decided splits made *)
   mutable restricts : int;  (** ISF restricts spent building vectors *)
   mutable retains : int;  (** cache invalidation passes *)
   mutable evicted : int;  (** entries dropped by invalidation *)

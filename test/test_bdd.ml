@@ -559,8 +559,54 @@ let cofactor_decision_prop =
           && le = Bv.is_zero (Bv.and_ ta (Bv.not_ tb)))
         !answers)
 
+(* [eval_cof] against the built restrict, evaluated at the assignment
+   the word encodes: bit [u land 63] for variable [u].  The operands
+   are random tables on [shift .. shift + 4] ([shift = -3] reaches
+   negative indices, [60] wraps past bit 63), both constants and a lone
+   variable; [v] runs from two levels above every top to two below
+   every variable, so it falls above, at and below the tops.  Every
+   answer is taken before any restrict is built, and none may move
+   [node_count]. *)
+let eval_cof_prop =
+  prop "eval_cof is the restrict's value at the word's assignment" ~count:30
+    QCheck2.Gen.(triple int (oneofl [ 0; -3; 60 ]) (list_size (return 4) int))
+    (fun (seed, shift, words) ->
+      let n = 5 in
+      let st = Random.State.make [| seed |] in
+      let m = Bdd.manager () in
+      let bvs =
+        Array.append
+          (Array.init 4 (fun _ -> random_bv st n))
+          [| Bv.create n false; Bv.create n true; Bv.var n 2 |]
+      in
+      let fs =
+        Array.map (fun bv -> Bdd.rename m (Bv.to_bdd m bv) (fun k -> k + shift)) bvs
+      in
+      let before = Bdd.node_count m in
+      let answers = ref [] in
+      Array.iteri
+        (fun i f ->
+          for v = shift - 2 to shift + n + 1 do
+            List.iter
+              (fun w ->
+                List.iter
+                  (fun a -> answers := ((i, v, a, w), Bdd.eval_cof f v a w) :: !answers)
+                  [ false; true ])
+              words
+          done)
+        fs;
+      let no_node = Bdd.node_count m = before in
+      no_node
+      && List.for_all
+           (fun ((i, v, a, w), got) ->
+             got
+             = Bdd.eval (Bdd.restrict m fs.(i) v a) (fun u ->
+                   (w lsr (u land 63)) land 1 = 1))
+           !answers)
+
 let suite =
   basic_tests @ table_tests
   @ List.map
       (fun p -> QCheck_alcotest.to_alcotest ~long:false p)
-      (oracle_props @ [ eviction_prop; size_prop; cofactor_decision_prop ])
+      (oracle_props
+       @ [ eviction_prop; size_prop; cofactor_decision_prop; eval_cof_prop ])

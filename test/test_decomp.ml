@@ -721,8 +721,150 @@ let score_cache_props =
         && Array.for_all2 Isf.equal extended direct);
   ]
 
+(* The greedy growth of [Bound_select.select] and [select_curtis],
+   kept as the oracle with every candidate scored by building its
+   vectors ([Bound_select.score] without a cache): atoms are the
+   eligible parts of the groups, cut to the target, plus every single
+   variable; each seed grows by the first best-scoring piece to the
+   target; the first best of the window and the grown sets wins. *)
+let reference_select ~curtis cfg ~groups ~eligible isfs =
+  let lut_size = cfg.Config.lut_size in
+  let score b = Bound_select.score ~lut_size man isfs b in
+  let eligible = List.sort_uniq compare eligible in
+  let n = List.length eligible in
+  let lut_target = min lut_size (n - 1) in
+  let target, min_size =
+    if curtis then (min (max (lut_size + 1) 3) (n - 1), lut_target + 1)
+    else (lut_target, 2)
+  in
+  if target < 2 || (curtis && target <= lut_target) then None
+  else begin
+    let rec chunks k = function
+      | [] -> []
+      | vars ->
+          List.filteri (fun i _ -> i < k) vars
+          :: chunks k (List.filteri (fun i _ -> i >= k) vars)
+    in
+    let atoms =
+      List.filter
+        (fun c -> List.length c >= 2)
+        (List.concat_map
+           (fun g ->
+             chunks target
+               (List.filter (fun v -> List.mem v eligible) (Symmetry.group_vars g)))
+           groups)
+      @ List.map (fun v -> [ v ]) eligible
+    in
+    (* The first of the lowest-scoring items. *)
+    let best_by score = function
+      | [] -> None
+      | x :: rest ->
+          Some
+            (snd
+               (List.fold_left
+                  (fun (bs, bx) y ->
+                    let s = score y in
+                    if s < bs then (s, y) else (bs, bx))
+                  (score x, x) rest))
+    in
+    let rec grow current =
+      let size = List.length current in
+      if size >= target then [ List.sort compare current ]
+      else
+        let pieces =
+          List.filter_map
+            (fun atom ->
+              match List.filter (fun v -> not (List.mem v current)) atom with
+              | [] -> None
+              | rest -> Some (List.hd (chunks (target - size) rest)))
+            atoms
+        in
+        match best_by (fun p -> score (List.sort compare (p @ current))) pieces with
+        | Some p -> grow (p @ current)
+        | None -> []
+    in
+    let seeds =
+      if lut_size <= 3 && List.length atoms <= 24 then atoms
+      else begin
+        let count = max 1 cfg.Config.seeds in
+        let by_size =
+          List.sort (fun a b -> compare (List.length b) (List.length a)) atoms
+        in
+        let spread =
+          List.filteri (fun i _ -> i mod (1 + (List.length atoms / count)) = 0) atoms
+        in
+        List.fold_left
+          (fun acc a -> if List.mem a acc then acc else acc @ [ a ])
+          []
+          (List.filteri (fun i _ -> i < count) by_size @ spread)
+      end
+    in
+    List.filteri (fun i _ -> i < target) eligible :: List.concat_map grow seeds
+    |> List.map (List.sort compare)
+    |> List.filter (fun c -> List.length c >= min_size)
+    |> best_by score
+  end
+
+(* Random groups over [eligible], so that atoms of several variables
+   occur: a shuffled order cut at random points. *)
+let gen_groups eligible =
+  let open QCheck2.Gen in
+  let* order = shuffle_l eligible in
+  let+ cuts = list_size (return (List.length eligible)) bool in
+  let groups, last =
+    List.fold_left2
+      (fun (groups, cur) v cut ->
+        if cut && cur <> [] then (List.rev cur :: groups, [ (v, false) ])
+        else (groups, (v, false) :: cur))
+      ([], []) order cuts
+  in
+  List.rev (List.rev last :: groups)
+
 let score_reference_props =
   [
+    QCheck2.Test.make
+      ~name:"decided growth chooses as the built search, every score exact"
+      ~count:60
+      (let eligible = List.init 7 Fun.id in
+       QCheck2.Gen.(
+         triple
+           (list_size (int_range 1 3)
+              (oneof
+                 [
+                   gen_isf 7;
+                   gen_sparse_isf;
+                   map (fun bv -> Isf.of_csf man (Bv.to_bdd man bv)) (gen_fun 7);
+                 ]))
+           (int_range 2 6) (gen_groups eligible)))
+      (fun (isfs, lut_size, groups) ->
+        let cfg = Config.with_lut_size lut_size Config.mulop_dc in
+        let eligible = List.init 7 Fun.id in
+        let cache = Score_cache.create man in
+        let chosen = Bound_select.select ~cache man cfg ~groups ~eligible isfs in
+        let curtis = Bound_select.select_curtis ~cache man cfg ~groups ~eligible isfs in
+        (* Every candidate either search scored, at every size, was
+           decided and memoized: each equals the built score. *)
+        let memoized =
+          List.filter_map
+            (fun mask ->
+              let b = List.filter (fun v -> (mask lsr v) land 1 = 1) eligible in
+              let relevant =
+                List.filter (fun f -> Classes.inter b (Isf.support man f) <> []) isfs
+              in
+              if relevant = [] then None
+              else
+                Option.map
+                  (fun s -> (b, s))
+                  (Score_cache.find_score cache
+                     (Score_cache.score_key ~lut_size relevant b)))
+            (List.init 128 Fun.id)
+        in
+        chosen = reference_select ~curtis:false cfg ~groups ~eligible isfs
+        && curtis = reference_select ~curtis:true cfg ~groups ~eligible isfs
+        && chosen = Bound_select.select man cfg ~groups ~eligible isfs
+        && List.for_all
+             (fun (b, s) -> s = Bound_select.score ~lut_size man isfs b)
+             memoized);
     QCheck2.Test.make
       ~name:"the search's decided scores and matrix equal the built ones"
       ~count:100
@@ -900,6 +1042,7 @@ let stats_tests =
             s.Stats.cof_extends;
             s.Stats.cof_fresh;
             s.Stats.cof_decided;
+            s.Stats.split_compares;
             s.Stats.restricts;
             s.Stats.retains;
             s.Stats.evicted;
@@ -937,8 +1080,10 @@ let stats_tests =
           s.Stats.cof_lookups
           (s.Stats.cof_hits + s.Stats.cof_extends + s.Stats.cof_fresh
          + s.Stats.cof_decided);
-        check_bool "target-size candidates are decided" true
+        check_bool "search candidates are decided" true
           (s.Stats.cof_decided > 0);
+        check_bool "decided splits compare halves" true
+          (s.Stats.split_compares > 0);
         check_bool "phase buckets recorded" true
           (Hashtbl.length s.Stats.phases > 0);
         (* a run that isn't handed a stats instance must not touch ours *)
@@ -946,7 +1091,29 @@ let stats_tests =
         let net3 = Driver.decompose m spec in
         check_bool "verifies (3)" true (Driver.verify m spec net3);
         check_bool "unthreaded run leaves foreign stats alone" true
-          (snapshot () = middle2))
+          (snapshot () = middle2));
+    Alcotest.test_case "Curtis retries are charged to their phases" `Quick
+      (fun () ->
+        (* At k = 2 the driver retries a fruitless step with oversized
+           bound sets; their searches and steps belong to
+           [bound-select] and [step], so the step's sub-phases fit in
+           [step] and the driver's phases in the call. *)
+        let m = Bdd.manager () in
+        let spec = (Mcnc.find "f51m").Mcnc.build m in
+        let stats = Stats.create () in
+        let cfg = Mulop.config_of ~lut_size:2 Mulop.Mulop_dc in
+        let t0 = Mono.now () in
+        ignore (Driver.decompose_report ~cfg ~stats m spec);
+        let wall = Mono.now () -. t0 in
+        let sum keep =
+          Hashtbl.fold
+            (fun name dt acc -> if keep name then acc +. dt else acc)
+            stats.Stats.phases 0.
+        in
+        check_bool "step/* phases within step" true
+          (sum (String.starts_with ~prefix:"step/") <= Stats.phase_time stats "step");
+        check_bool "phases within the call" true
+          (sum (fun name -> not (String.contains name '/')) <= wall));
   ]
 
 let clb_tests =
