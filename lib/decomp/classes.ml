@@ -303,15 +303,6 @@ let cofactor_vector ?cache m f sub =
   | _, Some c -> Score_cache.cofactor_vector c f sub
   | _, None -> Isf.cofactor_vector m f sub
 
-let split ?cache m f sub =
-  match (sub, cache) with
-  | [], _ -> Vector [| f |]
-  | _, Some c -> Score_cache.split c f sub
-  | _, None -> (
-      match List.rev sub with
-      | v :: rev_rest -> Split (Isf.cofactor_vector m f (List.rev rev_rest), v)
-      | [] -> Vector [| f |])
-
 (* Each function's vector over [bound inter supp f], read through the
    projection: fixing a variable outside the support leaves every
    cofactor the same node, so vertex [v]'s entry is exactly the

@@ -100,14 +100,6 @@ val cofactor_vector :
     {!Isf.cofactor_vector} otherwise.  An empty [sub] gives [[| f |]]
     without asking the cache. *)
 
-val split : ?cache:Score_cache.t -> Bdd.manager -> Isf.t -> int list -> cofactors
-(** [split ?cache m f sub]: what the bound-set search reads for a
-    candidate, for a non-empty ascending [sub].  With [cache], the
-    cached vector over [sub] when there is one, else a [Split] of a
-    cached (or newly cached) parent ({!Score_cache.split}); without,
-    a [Split] on [sub]'s last variable of the vector over the rest.
-    An empty [sub] gives [Vector [| f |]]. *)
-
 val cofactor_matrix : ?cache:Score_cache.t -> Bdd.manager -> Isf.t list -> int list -> t
 (** Cofactor every function w.r.t. the (ascending) bound set and
     deduplicate vertices with identical cofactor tuples.  Each function
@@ -116,8 +108,9 @@ val cofactor_matrix : ?cache:Score_cache.t -> Bdd.manager -> Isf.t list -> int l
     alike: the matrix is the one cofactoring every function over the
     whole bound set would give, node for node.  With the search's
     [cache], the search decided the chosen set's scores without
-    building its vectors ({!split}), so each is one extension of its
-    cached parent, or a hit when the search's growth built it. *)
+    building its vectors ({!Score_cache.split}), so each is one
+    extension of a cached parent, or a hit when the search built it
+    as the set a growth level extends. *)
 
 val joint_incompat : Bdd.manager -> t -> Ugraph.t
 (** Graph on nodes; edge = some output's cofactors are incompatible. *)

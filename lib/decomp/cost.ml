@@ -18,9 +18,10 @@
    the signal realizing it: 0 for primary inputs, [Network.level] for
    already-emitted decomposition functions.  Arrivals are immutable
    once a signal exists (the driver's network is append-only), which
-   is what lets scores be memoized — [Score_cache] keys carry the
-   objective and the arrival profile of the bound set, so one cache
-   serves every mode without mixing. *)
+   is what lets scores be memoized: within one search, and within the
+   Curtis retries that follow a step that added no LUT, the objective
+   and every arrival are fixed, so a memo keyed by the bound set alone
+   is exact. *)
 
 type objective = Area | Delay | Balanced
 
@@ -37,8 +38,6 @@ let objective_of_string = function
       Error
         (Printf.sprintf "unknown objective %S (expected area, delay or balanced)"
            s)
-
-let objective_tag = function Area -> 0 | Delay -> 1 | Balanced -> 2
 
 type t = { objective : objective; arrival : int -> int }
 
@@ -58,14 +57,5 @@ let triple t ~bound (a1, a2) =
   | Area -> (0, a1, a2)
   | Delay -> (step_arrival t bound, a1, a2)
   | Balanced -> (0, a1 + step_arrival t bound, a2)
-
-(* The cache-key fragment: which ordering was used and, when arrivals
-   participate, the arrival profile they were computed from.  Area
-   keys carry no profile — area scores are arrival-independent, so
-   they stay valid across differing network states. *)
-let key_of t bound =
-  match t.objective with
-  | Area -> (0, [])
-  | Delay | Balanced -> (objective_tag t.objective, List.map t.arrival bound)
 
 let worst = (max_int, max_int, max_int)

@@ -39,20 +39,12 @@ val make : objective -> arrival:(int -> int) -> t
 (** [make Area ~arrival] ignores [arrival] and returns {!area}, so an
     area-mode run cannot accidentally depend on network state. *)
 
-val step_arrival : t -> int list -> int
-(** Arrival of the decomposition functions a bound set would create:
-    [1 + max (arrival v)] over the bound variables. *)
-
 val triple : t -> bound:int list -> int * int -> int * int * int
 (** Extend the area pair [(a1, a2)] with the objective term for
-    [bound]: [Area → (0, a1, a2)], [Delay → (step_arrival, a1, a2)],
-    [Balanced → (0, a1 + step_arrival, a2)].  Lexicographically
-    smaller is better in every mode. *)
-
-val key_of : t -> int list -> int * int list
-(** The cache-key fragment of a score query: an objective tag plus the
-    arrival profile of the bound set ([(0, [])] under {!Area}, whose
-    scores are arrival-independent). *)
+    [bound], the arrival [s = 1 + max (arrival v)] of the decomposition
+    functions the bound set would create: [Area → (0, a1, a2)],
+    [Delay → (s, a1, a2)], [Balanced → (0, a1 + s, a2)].
+    Lexicographically smaller is better in every mode. *)
 
 val worst : int * int * int
 (** Worse than any genuine candidate in every objective. *)

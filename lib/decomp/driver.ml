@@ -92,10 +92,11 @@ let decompose_report ?(cfg = Config.default) ?(budget = Budget.unlimited)
   Budget.attach budget m;
   Fun.protect ~finally:(fun () -> Budget.detach budget m) @@ fun () ->
   let net = Network.create () in
-  (* One scoring cache for the whole run: it persists across greedy
-     growth, Curtis retries, and driver iterations (recursion levels),
-     and is trimmed whenever a committed step rewrites ISFs.  Tied to
-     [m]; counters land in this run's [stats]. *)
+  (* One cofactor-vector cache for the whole run: it persists across
+     greedy growth, Curtis retries, and driver iterations (recursion
+     levels), and is trimmed whenever a committed step rewrites ISFs.
+     Tied to [m]; counters land in this run's [stats].  Scores are
+     memoized per attempt ([Bound_select.memo]). *)
   let cache = Score_cache.create ~stats m in
   let signal_of_var : (int, Network.signal) Hashtbl.t = Hashtbl.create 64 in
   List.iteri
@@ -356,10 +357,13 @@ let decompose_report ?(cfg = Config.default) ?(budget = Budget.unlimited)
     phase "symmetry";
     (* --- bound set *)
     let select_check = Budget.checker budget ~where:"bound-select" in
+    (* The scores of this attempt's ISF list; the Curtis retries read
+       them too while the list stands. *)
+    let memo = Bound_select.memo () in
     let bound =
       match
-        Bound_select.select ~cache ~cost ~check:select_check m cfg ~groups
-          ~eligible:region (Array.to_list isfs)
+        Bound_select.select ~cache ~memo ~cost ~check:select_check m cfg
+          ~groups ~eligible:region (Array.to_list isfs)
       with
       | Some b -> b
       | None -> []
@@ -369,12 +373,14 @@ let decompose_report ?(cfg = Config.default) ?(budget = Budget.unlimited)
        that ended up inside the bound set.  Symmetries across the
        bound/free boundary are not exploitable by this step (and
        per the paper step 3 would not preserve them anyway). *)
-    let isfs =
+    let isfs, memo =
       if cfg.Config.dc_steps.Config.symmetry && bound <> [] then begin
         let committed_groups = ref [] in
-        let commit fs group =
+        (* [fs] comes with the memo of its scores: the search's for the
+           list it scored, a fresh one for a list a group rewrote. *)
+        let commit (fs, memo) group =
           let inside = List.filter (fun (v, _) -> List.mem v bound) group in
-          if List.length inside < 2 then fs
+          if List.length inside < 2 then (fs, memo)
           else
             match Symmetry.close_group m fs inside with
             | Some fs' ->
@@ -382,26 +388,27 @@ let decompose_report ?(cfg = Config.default) ?(budget = Budget.unlimited)
                    distinct; only keep the assignment when the
                    class count of this bound set does not grow. *)
                 let unchanged = List.for_all2 Isf.equal fs' fs in
+                let memo' = if unchanged then memo else Bound_select.memo () in
                 (* The accept/reject comparison must use the same
                    scoring mode as the selection that chose
                    [bound]: without [~lut_size], gate-level
                    configs (lut_size <= 3) would commit by the
                    class-count-first criterion after selecting by
                    the reduction-first one. *)
-                if
-                  unchanged
-                  || Bound_select.score ~cache ~lut_size:cfg.Config.lut_size
-                       ~cost m fs' bound
-                     < Bound_select.score ~cache ~lut_size:cfg.Config.lut_size
-                         ~cost m fs bound
-                then begin
+                let score memo fs =
+                  Bound_select.score ~cache ~memo
+                    ~lut_size:cfg.Config.lut_size ~cost m fs bound
+                in
+                if unchanged || score memo' fs' < score memo fs then begin
                   committed_groups := inside :: !committed_groups;
-                  fs'
+                  (fs', memo')
                 end
-                else fs
-            | None -> fs
+                else (fs, memo)
+            | None -> (fs, memo)
         in
-        let committed = List.fold_left commit (Array.to_list isfs) groups in
+        let committed, memo =
+          List.fold_left commit (Array.to_list isfs, memo) groups
+        in
         if cheap then
           List.iteri
             (fun i fine ->
@@ -416,9 +423,9 @@ let decompose_report ?(cfg = Config.default) ?(budget = Budget.unlimited)
                 (Invariant.check_group_symmetric m ~where:"symmetry-commit"
                    committed group))
             !committed_groups;
-        Array.of_list committed
+        (Array.of_list committed, memo)
       end
-      else isfs
+      else (isfs, memo)
     in
     phase "symmetry-commit";
     let alpha_items = ref [] in
@@ -535,8 +542,8 @@ let decompose_report ?(cfg = Config.default) ?(budget = Budget.unlimited)
       cfg.Config.lut_size <= 3
       &&
       let b2 =
-        Bound_select.select_curtis ~cache ~cost ~check:select_check ~extra m
-          cfg ~groups ~eligible:region (Array.to_list isfs)
+        Bound_select.select_curtis ~cache ~memo ~cost ~check:select_check
+          ~extra m cfg ~groups ~eligible:region (Array.to_list isfs)
       in
       phase "bound-select";
       match b2 with

@@ -1,14 +1,16 @@
-(** Memoized cofactor vectors and bound-set scores.
+(** Memoized cofactor vectors.
 
-    The bound-set search evaluates [Bound_select.score] on many
-    overlapping candidates: greedy growth scores every extension of the
-    current candidate, Curtis retries rescore supersets, and successive
-    driver iterations revisit the same (unchanged) ISFs.  A cache
-    instance persists across all of them within one run and is keyed
-    canonically by node ids — an ISF is the pair [(Bdd.id on, Bdd.id
-    dc)] — so entries of rewritten ISFs are unreachable rather than
-    stale.  {!retain} drops entries of dead ISFs to bound memory after
-    the driver commits a step.
+    The bound-set search reads each ISF's cofactor vector over many
+    overlapping subsets: its greedy growth builds the vector of the
+    candidate it commits to, every split of the next level reads it,
+    and the step's cofactor matrix reads the chosen set's vectors.  A
+    cache instance persists across all of them within one run and is
+    keyed canonically by node ids — an ISF is the pair [(Bdd.id on,
+    Bdd.id dc)] — so entries of rewritten ISFs are unreachable rather
+    than stale.  {!retain} drops entries of dead ISFs to bound memory
+    after the driver commits a step.  Scores are not kept here: each
+    search memoizes its own, keyed by the bound set alone
+    ({!Bound_select.memo}).
 
     A cache is bound at {!create} to the one {!Bdd.manager} of its run.
     Id keys are exact because ROBDDs are canonical within a manager
@@ -45,34 +47,20 @@ type cofactors =
       (** [Split (parent, v)]: the vector over the bound set without
           [v]; the cofactors are the halves of its entries on [v] *)
 
-val split : t -> Isf.t -> int list -> cofactors
-(** [split t f bound] for a non-empty ascending [bound]: the cached
-    vector when there is one (a hit), else a [Split] of the vector over
-    [bound] without one variable, chosen and built as
-    {!cofactor_vector} chooses and builds a parent (a decided lookup).
-    It stores no vector over [bound]: the search scores every candidate
-    by comparing its halves ({!Classes.refine}), and builds with
-    {!cofactor_vector} only the vector of the candidate its growth
-    commits to, the parent of the next level's splits.  Every lookup
-    is exactly one of a hit, an extension, a fresh build or a decided
-    split. *)
-
-type score_key
-
-val score_key :
-  lut_size:int -> ?cost:Cost.t -> Isf.t list -> int list -> score_key
-(** Key of a score query: the scoring mode ([lut_size] and the
-    objective's {!Cost.key_of} fragment — tag plus arrival profile,
-    so arrival-aware scores taken under different network states never
-    collide), the sorted bound set, and the id pairs of the
-    participating ISFs.  [cost] defaults to {!Cost.area}, whose
-    fragment is constant. *)
-
-val find_score : t -> score_key -> (int * int * int) option
-val add_score : t -> score_key -> int * int * int -> unit
+val split : t -> Isf.t -> int list -> Isf.t array Lazy.t -> int -> cofactors
+(** [split t f bound parent v], for a variable [v] of the ascending
+    [bound] and [parent] [f]'s vector over [bound] without [v]: the
+    cached vector over [bound] when there is one (a hit), else
+    [Split (Lazy.force parent, v)] (a decided lookup).  It probes once,
+    for [bound] itself, and stores nothing: the search scores every
+    candidate by comparing the halves of its parent's entries
+    ({!Classes.refine}) and builds with {!cofactor_vector} only the
+    vectors that parents come from.  A hit leaves [parent] unforced.
+    Every lookup is exactly one of a hit, an extension, a fresh build
+    or a decided split. *)
 
 val retain : t -> live:Isf.t list -> unit
-(** Drop every entry that mentions an ISF outside [live].  Called by
-    the driver after a committed step rewrites participant ISFs; pure
-    memory hygiene — lookups of dead keys cannot collide with live
-    ones because ids identify functions exactly. *)
+(** Drop every vector of an ISF outside [live].  Called by the driver
+    after a committed step rewrites participant ISFs; pure memory
+    hygiene — lookups of dead keys cannot collide with live ones
+    because ids identify functions exactly. *)

@@ -198,43 +198,68 @@ let numbering_props =
              (triple (oneof [ gen_isf 7; gen_sparse_isf ]) (int_bound 63)
                 (opt (int_bound 5)))))
       (fun (bound, items) ->
-        (* A mask picks the subset; a warm-up index, when given, caches
-           the vector over the subset without that variable, so the
+        (* A mask picks the subset; an index, when given, picks the
+           variable the split adds, else the subset's last one, so the
            split's parent varies. *)
         let cache = Score_cache.create man in
         let stats = Score_cache.stats cache in
         let items =
           List.map
-            (fun (f, mask, warm) ->
+            (fun (f, mask, pick) ->
               let sub = List.filteri (fun i _ -> (mask lsr i) land 1 = 1) bound in
-              (match warm with
-              | Some k when sub <> [] ->
-                  let w = List.nth sub (k mod List.length sub) in
-                  ignore
-                    (Score_cache.cofactor_vector cache f
-                       (List.filter (fun u -> u <> w) sub))
-              | _ -> ());
-              (f, sub))
+              let v =
+                match (pick, sub) with
+                | _, [] -> None
+                | Some k, _ -> Some (List.nth sub (k mod List.length sub))
+                | None, _ -> Some (List.nth sub (List.length sub - 1))
+              in
+              (f, sub, v))
             items
         in
         let classes cofactors =
           let s = Classes.numbering bound in
           let owns =
-            List.map (fun (f, sub) -> Classes.refine man s sub (cofactors f sub)) items
+            List.map
+              (fun (f, sub, v) -> Classes.refine man s sub (cofactors f sub v))
+              items
           in
           (owns, Classes.count s, Classes.ids s)
         in
         let built =
-          classes (fun f sub -> Classes.Vector (Isf.cofactor_vector man f sub))
+          classes (fun f sub _ -> Classes.Vector (Isf.cofactor_vector man f sub))
+        in
+        let parent f sub v =
+          Isf.cofactor_vector man f (List.filter (fun u -> u <> v) sub)
+        in
+        let split f sub = function
+          | None -> Classes.Vector [| f |]
+          | Some v -> Score_cache.split cache f sub (lazy (parent f sub v)) v
         in
         let hits = stats.Stats.cof_hits in
-        let decided = classes (fun f sub -> Classes.split ~cache man f sub) in
-        let uncached = classes (fun f sub -> Classes.split man f sub) in
+        let decided = classes split in
+        let direct =
+          classes (fun f sub v ->
+              match v with
+              | None -> Classes.Vector [| f |]
+              | Some v -> Classes.Split (parent f sub v, v))
+        in
         (* A split stores no vector over its subset: asking again is
            no hit. *)
-        let again = classes (fun f sub -> Classes.split ~cache man f sub) in
-        built = decided && built = uncached && built = again
-        && stats.Stats.cof_hits = hits);
+        let again = classes split in
+        let no_hit = stats.Stats.cof_hits = hits in
+        (* With the vector over the subset cached, the one probe finds
+           it and the parent is never built. *)
+        List.iter
+          (fun (f, sub, _) ->
+            if sub <> [] then ignore (Score_cache.cofactor_vector cache f sub))
+          items;
+        let cached =
+          classes (fun f sub -> function
+            | None -> Classes.Vector [| f |]
+            | Some v -> Score_cache.split cache f sub (lazy (assert false)) v)
+        in
+        built = decided && built = direct && built = again && built = cached
+        && no_hit);
     QCheck2.Test.make
       ~name:"cofactor_matrix through a score cache equals the matrix from the root"
       ~count:150
@@ -658,6 +683,15 @@ let score_cache_props =
       (fun (isfs, mask1, mask2) ->
         let stats = Stats.create () in
         let cache = Score_cache.create ~stats man in
+        (* One memo per scoring mode: a memo belongs to one list, LUT
+           size and cost. *)
+        let memos = List.map (fun lut_size -> (lut_size, Bound_select.memo ())) [ 2; 5 ] in
+        (* A bound set no ISF depends on is scored without the memo. *)
+        let relevant bound =
+          List.exists
+            (fun f -> List.exists (fun v -> List.mem v (Isf.support man f)) bound)
+            isfs
+        in
         (* mask1 lor mask2 is a superset of both: scoring it last goes
            through the incremental extension of a cached vector. *)
         let masks = [ mask1; mask2; mask1 lor mask2 ] in
@@ -666,18 +700,29 @@ let score_cache_props =
             (fun mask ->
               let bound = bound_of_mask mask in
               List.for_all
-                (fun lut_size ->
+                (fun (lut_size, memo) ->
                   let fresh = Bound_select.score ~lut_size man isfs bound in
-                  let c1 = Bound_select.score ~cache ~lut_size man isfs bound in
-                  let c2 = Bound_select.score ~cache ~lut_size man isfs bound in
+                  let c1 = Bound_select.score ~cache ~memo ~lut_size man isfs bound in
+                  let hits = stats.Stats.score_hits in
+                  let c2 = Bound_select.score ~cache ~memo ~lut_size man isfs bound in
                   fresh = c1 && fresh = c2
-                  && fresh = reference_score ~lut_size man isfs bound)
-                [ 2; 5 ])
+                  && fresh = reference_score ~lut_size man isfs bound
+                  && stats.Stats.score_hits - hits = if relevant bound then 1 else 0)
+                memos)
             masks
+        in
+        let exact =
+          List.for_all
+            (fun (lut_size, memo) ->
+              List.for_all
+                (fun (b, s) -> s = Bound_select.score ~lut_size man isfs b)
+                (Bound_select.memoized memo))
+            memos
         in
         (* The same functions rebuilt from their truth tables get the
            same nodes (hash consing), hence the same id keys: every
-           rescore is a memo hit with the original score. *)
+           rescore reads the cached vectors and gives the original
+           score. *)
         let rebuilt =
           List.map
             (fun f ->
@@ -685,27 +730,15 @@ let score_cache_props =
               Isf.make man ~on:(again (Isf.on f)) ~dc:(again (Isf.dc f)))
             isfs
         in
-        (* A bound set no ISF depends on is scored without the memo. *)
-        let memoized =
-          List.filter
-            (fun mask ->
-              List.exists
-                (fun f ->
-                  List.exists
-                    (fun v -> List.mem v (Isf.support man f))
-                    (bound_of_mask mask))
-                isfs)
-            masks
-        in
-        let hits_before = stats.Stats.score_hits in
-        agree
+        let restricts = stats.Stats.restricts in
+        agree && exact
         && List.for_all
              (fun mask ->
                let bound = bound_of_mask mask in
                Bound_select.score ~cache ~lut_size:5 man rebuilt bound
                = Bound_select.score ~lut_size:5 man isfs bound)
              masks
-        && stats.Stats.score_hits - hits_before = List.length memoized);
+        && stats.Stats.restricts = restricts);
     QCheck2.Test.make ~name:"extend_cofactor_vector = cofactor_vector"
       ~count:200
       QCheck2.Gen.(pair (gen_isf 6) (pair (int_range 1 63) (int_range 0 5)))
@@ -840,25 +873,15 @@ let score_reference_props =
         let cfg = Config.with_lut_size lut_size Config.mulop_dc in
         let eligible = List.init 7 Fun.id in
         let cache = Score_cache.create man in
-        let chosen = Bound_select.select ~cache man cfg ~groups ~eligible isfs in
-        let curtis = Bound_select.select_curtis ~cache man cfg ~groups ~eligible isfs in
+        (* The retry shares the main search's memo, as in the driver. *)
+        let memo = Bound_select.memo () in
+        let chosen = Bound_select.select ~cache ~memo man cfg ~groups ~eligible isfs in
+        let curtis =
+          Bound_select.select_curtis ~cache ~memo man cfg ~groups ~eligible isfs
+        in
         (* Every candidate either search scored, at every size, was
            decided and memoized: each equals the built score. *)
-        let memoized =
-          List.filter_map
-            (fun mask ->
-              let b = List.filter (fun v -> (mask lsr v) land 1 = 1) eligible in
-              let relevant =
-                List.filter (fun f -> Classes.inter b (Isf.support man f) <> []) isfs
-              in
-              if relevant = [] then None
-              else
-                Option.map
-                  (fun s -> (b, s))
-                  (Score_cache.find_score cache
-                     (Score_cache.score_key ~lut_size relevant b)))
-            (List.init 128 Fun.id)
-        in
+        let memoized = Bound_select.memoized memo in
         chosen = reference_select ~curtis:false cfg ~groups ~eligible isfs
         && curtis = reference_select ~curtis:true cfg ~groups ~eligible isfs
         && chosen = Bound_select.select man cfg ~groups ~eligible isfs
@@ -877,34 +900,14 @@ let score_reference_props =
         let eligible = List.init 7 Fun.id in
         let groups = List.map (fun v -> [ (v, false) ]) eligible in
         let cache = Score_cache.create man in
-        match Bound_select.select ~cache man cfg ~groups ~eligible isfs with
+        let memo = Bound_select.memo () in
+        match Bound_select.select ~cache ~memo man cfg ~groups ~eligible isfs with
         | None -> true
         | Some bound ->
-            (* Every memoized score at the search's target size was
-               decided; each equals the score built without a cache. *)
-            let target = List.length bound in
-            let rec subsets k = function
-              | _ when k = 0 -> [ [] ]
-              | [] -> []
-              | v :: rest ->
-                  List.map (fun s -> v :: s) (subsets (k - 1) rest) @ subsets k rest
-            in
-            let memoized =
-              List.filter_map
-                (fun b ->
-                  let relevant =
-                    List.filter
-                      (fun f -> Classes.inter b (Isf.support man f) <> [])
-                      isfs
-                  in
-                  if relevant = [] then None
-                  else
-                    Option.map
-                      (fun s -> (b, s))
-                      (Score_cache.find_score cache
-                         (Score_cache.score_key ~lut_size relevant b)))
-                (subsets target eligible)
-            in
+            (* Every score the search memoized, over any subset of the
+               eligible variables, was decided; each equals the score
+               built without a cache. *)
+            let memoized = Bound_select.memoized memo in
             let reference = reference_node_of_vertex isfs bound in
             let vecs = List.map (fun f -> Isf.cofactor_vector man f bound) isfs in
             let info = Classes.cofactor_matrix ~cache man isfs bound in
@@ -919,6 +922,50 @@ let score_reference_props =
                      (Array.to_list info.Classes.node_cof.(reference.(v)))
                      (List.map (fun vec -> vec.(v)) vecs))
                  (List.init (Array.length reference) Fun.id));
+    QCheck2.Test.make
+      ~name:"interleaved searches over two lists memoize their own scores"
+      ~count:60
+      (let eligible = List.init 7 Fun.id in
+       let gen_list =
+         QCheck2.Gen.(list_size (int_range 1 3) (oneof [ gen_isf 7; gen_sparse_isf ]))
+       in
+       QCheck2.Gen.(
+         quad (gen_isf 7) (pair gen_list gen_list) (int_range 2 5) (gen_groups eligible)))
+      (fun (shared, (rest_a, rest_b), lut_size, groups) ->
+        (* Two lists that share an ISF, hence cached vectors, and are
+           scored over the same eligible variables, hence the same
+           candidates, by searches that take turns on one cache. *)
+        let cfg = Config.with_lut_size lut_size Config.mulop_dc in
+        let eligible = List.init 7 Fun.id in
+        let lists = [ shared :: rest_a; rest_b @ [ shared ] ] in
+        let cache = Score_cache.create man in
+        let memos = List.map (fun _ -> Bound_select.memo ()) lists in
+        let turn search = List.map2 search lists memos in
+        let chosen =
+          turn (fun isfs memo ->
+              Bound_select.select ~cache ~memo man cfg ~groups ~eligible isfs)
+        in
+        let curtis =
+          turn (fun isfs memo ->
+              Bound_select.select_curtis ~cache ~memo man cfg ~groups ~eligible isfs)
+        in
+        let again =
+          turn (fun isfs memo ->
+              Bound_select.select ~cache ~memo man cfg ~groups ~eligible isfs)
+        in
+        chosen = again
+        && chosen
+           = List.map (fun isfs -> Bound_select.select man cfg ~groups ~eligible isfs) lists
+        && curtis
+           = List.map
+               (fun isfs -> Bound_select.select_curtis man cfg ~groups ~eligible isfs)
+               lists
+        && List.for_all2
+             (fun isfs memo ->
+               List.for_all
+                 (fun (b, s) -> s = Bound_select.score ~lut_size man isfs b)
+                 (Bound_select.memoized memo))
+             lists memos);
     QCheck2.Test.make ~name:"score equals the Hashtbl scorer" ~count:200
       QCheck2.Gen.(
         pair
