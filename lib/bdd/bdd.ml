@@ -242,7 +242,6 @@ let xor m f g = apply_rec m op_xor f g
 let nand m f g = not_ m (and_ m f g)
 let nor m f g = not_ m (or_ m f g)
 let xnor m f g = not_ m (xor m f g)
-let imp m f g = or_ m (not_ m f) g
 
 (* f /\ not g without building [not g]; it does not commute, so the
    operands keep their places in the key. *)
@@ -422,14 +421,6 @@ let exists m vars f =
       or_ m lo hi)
     f vars
 
-let forall m vars f =
-  let vars = List.sort_uniq Stdlib.compare vars in
-  List.fold_left
-    (fun acc v ->
-      let lo, hi = cofactor2 m acc v in
-      and_ m lo hi)
-    f vars
-
 let compose m f v g =
   let lo, hi = cofactor2 m f v in
   ite m g hi lo
@@ -473,8 +464,6 @@ let mentions_any fs vars =
                  end)
   in
   List.exists go fs
-
-let depends_on f v = mentions_any [ f ] [ v ]
 
 (* The ids [size_list] has visited: open addressing with linear probing
    over a power-of-two array ([-1] = empty), at most half full.
@@ -613,36 +602,6 @@ let rec equal_on m ~care f g =
       cache_add m k0 fi gi (verdict b);
       b
 
-let sat_count m f ~nvars =
-  ignore m;
-  let cache = Hashtbl.create 64 in
-  let rec go f =
-    (* Number of satisfying assignments of the variables strictly below
-       the top of [f], counted relative to the top variable level. *)
-    match f with
-    | Zero -> 0.0
-    | One -> 1.0
-    | Node { id; v; lo; hi } -> (
-        match Hashtbl.find_opt cache id with
-        | Some r -> r
-        | None ->
-            let weight g =
-              let level_gap =
-                match g with
-                | Node { v = gv; _ } -> gv - v - 1
-                | Zero | One -> nvars - v - 1
-              in
-              go g *. (2.0 ** float_of_int level_gap)
-            in
-            let r = weight lo +. weight hi in
-            Hashtbl.add cache id r;
-            r)
-  in
-  match f with
-  | Zero -> 0.0
-  | One -> 2.0 ** float_of_int nvars
-  | Node { v; _ } -> go f *. (2.0 ** float_of_int v)
-
 let eval f assignment =
   let rec go = function
     | Zero -> false
@@ -742,37 +701,3 @@ let minterm_of_code m vars code =
       vars
   in
   and_list m lits
-
-let rec pp fmt = function
-  | Zero -> Format.fprintf fmt "0"
-  | One -> Format.fprintf fmt "1"
-  | Node { v; lo; hi; _ } -> Format.fprintf fmt "(x%d ? %a : %a)" v pp hi pp lo
-
-let to_dot ?(name = "bdd") fs =
-  let buf = Buffer.create 256 in
-  Buffer.add_string buf (Printf.sprintf "digraph %s {\n" name);
-  let seen = Hashtbl.create 64 in
-  let rec go f =
-    if not (Hashtbl.mem seen (id f)) then begin
-      Hashtbl.add seen (id f) ();
-      match f with
-      | Zero -> Buffer.add_string buf "  n0 [shape=box,label=\"0\"];\n"
-      | One -> Buffer.add_string buf "  n1 [shape=box,label=\"1\"];\n"
-      | Node { id = fid; v; lo; hi } ->
-          Buffer.add_string buf (Printf.sprintf "  n%d [label=\"x%d\"];\n" fid v);
-          Buffer.add_string buf
-            (Printf.sprintf "  n%d -> n%d [style=dashed];\n" fid (id lo));
-          Buffer.add_string buf (Printf.sprintf "  n%d -> n%d;\n" fid (id hi));
-          go lo;
-          go hi
-    end
-  in
-  List.iter go fs;
-  List.iteri
-    (fun i f ->
-      Buffer.add_string buf
-        (Printf.sprintf "  f%d [shape=plaintext,label=\"f%d\"];\n  f%d -> n%d;\n"
-           i i i (id f)))
-    fs;
-  Buffer.add_string buf "}\n";
-  Buffer.contents buf

@@ -98,7 +98,6 @@ val xor : manager -> t -> t -> t
 val nand : manager -> t -> t -> t
 val nor : manager -> t -> t -> t
 val xnor : manager -> t -> t -> t
-val imp : manager -> t -> t -> t
 val diff : manager -> t -> t -> t
 (** [diff m f g] is [f /\ not g], computed natively: the nodes of
     [not g] are not built. *)
@@ -148,7 +147,6 @@ val restrict : manager -> t -> int -> bool -> t
     to [b]. *)
 
 val exists : manager -> int list -> t -> t
-val forall : manager -> int list -> t -> t
 
 val compose : manager -> t -> int -> t -> t
 (** [compose m f v g] substitutes [g] for variable [v] in [f]. *)
@@ -176,7 +174,6 @@ val support : manager -> t -> int list
 (** Variables [f] essentially depends on, ascending.  Memoized per node
     in the manager, so repeated queries are O(1). *)
 
-val depends_on : t -> int -> bool
 val size : t -> int
 (** Number of internal nodes of [f] (shared nodes counted once).  The
     visited ids go to a set that belongs to the calling domain and is
@@ -185,10 +182,6 @@ val size : t -> int
 
 val size_list : t list -> int
 (** Nodes of the shared DAG of a list of functions. *)
-
-val sat_count : manager -> t -> nvars:int -> float
-(** Number of satisfying assignments over [nvars] variables (variables
-    must all be in [0 .. nvars-1]). *)
 
 val eval : t -> (int -> bool) -> bool
 (** Evaluate under an assignment. *)
@@ -237,11 +230,3 @@ val of_vector : manager -> int list -> t array -> t
 val minterm_of_code : manager -> int list -> int -> t
 (** [minterm_of_code m vars code] is the conjunction of literals of
     [vars] encoding [code] (first variable = most significant bit). *)
-
-(** {1 Output} *)
-
-val pp : Format.formatter -> t -> unit
-(** Terse structural printout (for debugging). *)
-
-val to_dot : ?name:string -> t list -> string
-(** Graphviz rendering of the shared DAG of the given functions. *)

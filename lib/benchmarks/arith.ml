@@ -9,12 +9,6 @@ let adder m ~bits =
   let s = Bvec.add_mod m x y in
   spec m (names "x" bits @ names "y" bits) (Bvec.named_outputs "f" s)
 
-let adder_with_carry m ~bits =
-  let x = Bvec.inputs m ~first_var:0 ~width:bits in
-  let y = Bvec.inputs m ~first_var:bits ~width:bits in
-  let s = Bvec.add m x y in
-  spec m (names "x" bits @ names "y" bits) (Bvec.named_outputs "f" s)
-
 let partial_multiplier m ~n =
   (* input p_{i,j} is variable i*n + j; column k sums all p_{i,j} with
      i + j = k, weighted 2^(i+j) *)

@@ -7,9 +7,6 @@ val adder : Bdd.manager -> bits:int -> Driver.spec
 (** The paper's Figure 2 function: two [bits]-bit operands
     [x], [y], outputs [f0 .. f(bits-1)] (sum modulo [2^bits]). *)
 
-val adder_with_carry : Bdd.manager -> bits:int -> Driver.spec
-(** As {!adder} with a carry-out output [f(bits)]. *)
-
 val partial_multiplier : Bdd.manager -> n:int -> Driver.spec
 (** The paper's Figure 3 function [pm_n]: the [n^2] partial-product bits
     [p_{i,j}] are primary inputs, the outputs are the [2n] product bits

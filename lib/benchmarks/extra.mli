@@ -6,9 +6,6 @@
 val rd53 : Bdd.manager -> Driver.spec
 (** 5-input rate detector (weight bits). *)
 
-val sym6 : Bdd.manager -> Driver.spec
-(** 1 iff exactly two of six inputs are set ([sym6]-style). *)
-
 val majority : Bdd.manager -> inputs:int -> Driver.spec
 (** Majority-of-n. *)
 

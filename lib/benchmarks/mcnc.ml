@@ -74,5 +74,3 @@ let catalogue =
   ]
 
 let find name = List.find (fun e -> e.name = name) catalogue
-
-let names () = List.map (fun e -> e.name) catalogue

@@ -18,5 +18,3 @@ val catalogue : entry list
 
 val find : string -> entry
 (** @raise Not_found for unknown names. *)
-
-val names : unit -> string list

@@ -61,9 +61,9 @@ type coverage = {
   sat_conflicts : int;
   windows_built : int;
   dataflow_nodes : int;  (** LUT nodes the cheap tier derived facts for *)
-  df_iterations : int;  (** fixpoint-solver node visits, all domains *)
-  df_facts : int;  (** facts derived (constants, redundant/contained
-                       fanins, observability sets, full code coverage) *)
+  df_iterations : int;  (** node visits of the two sweeps *)
+  df_facts : int;  (** facts derived (redundant/contained fanins,
+                       observability sets, full code coverage) *)
   screened_out : int;
       (** expensive-engine work units skipped on the strength of a
           dataflow fact: exact ODC computations replaced by the

@@ -99,22 +99,6 @@ type report = {
   wall : float;  (** monotonic wall time of the whole batch *)
 }
 
-val run_job :
-  ?lut_size:int ->
-  ?objective:Cost.objective ->
-  ?timeout:float ->
-  ?node_budget:int ->
-  ?effort:Budget.effort ->
-  ?checks:Diagnostic.level ->
-  ?verify:bool ->
-  Mulop.algorithm ->
-  job ->
-  job_report
-(** One job start to finish: a fresh manager, the job's [build], then
-    {!Mulop.run} under a fresh budget, timed monotonically.  Any
-    failure is classified by {!classify} into the job's [Error]
-    outcome. *)
-
 val run :
   ?jobs:int ->
   ?lut_size:int ->

@@ -54,7 +54,6 @@ let create ?timeout ?node_budget ?(effort = Normal) ?(stats = Stats.create ())
 let unlimited = create ()
 
 let is_limited t = t.timeout <> None || t.node_budget <> None
-let effort t = t.effort_level
 let stage t = t.current
 
 let exceed reason where = raise (Out_of_budget { reason; where })

@@ -77,7 +77,6 @@ val unlimited : t
     share because it is inert. *)
 
 val is_limited : t -> bool
-val effort : t -> effort
 val stage : t -> stage
 
 val attach : t -> Bdd.manager -> unit

@@ -31,15 +31,6 @@ val pairs :
   Network.t ->
   (Network.signal * Network.signal) list
 
-val pairs_with_lut_count :
-  ?lut_size:int ->
-  policy ->
-  Network.t ->
-  (Network.signal * Network.signal) list * int
-(** The merged pairs together with the network's LUT count, from a
-    single construction of the (quadratic) merge graph — for callers
-    that need both the pairing and the CLB count. *)
-
 val clb_count : ?lut_size:int -> policy -> Network.t -> int
-(** [lut_count - number of merged pairs].  Derived from
-    {!pairs_with_lut_count}; one merge-graph construction. *)
+(** [lut_count - number of merged pairs], from one merge-graph
+    construction. *)

@@ -32,11 +32,3 @@ let mulop_ii =
 
 let with_lut_size lut_size t = { t with lut_size }
 let with_objective objective t = { t with objective }
-
-let pp fmt t =
-  Format.fprintf fmt "lut=%d sym=%b share=%b cms=%b zero_dc=%b" t.lut_size
-    t.dc_steps.symmetry t.dc_steps.sharing t.dc_steps.cms t.zero_dc_on_entry;
-  (* area-mode output stays byte-identical to the pre-objective engine *)
-  match t.objective with
-  | Cost.Area -> ()
-  | o -> Format.fprintf fmt " objective=%s" (Cost.objective_name o)

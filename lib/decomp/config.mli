@@ -42,4 +42,3 @@ val mulop_dc : t
 
 val with_lut_size : int -> t -> t
 val with_objective : Cost.objective -> t -> t
-val pp : Format.formatter -> t -> unit

@@ -43,8 +43,8 @@ type t = {
   mutable sat_conflicts : int;  (** conflicts across those calls *)
   mutable windows_built : int;  (** windows extracted for SAT analysis *)
   mutable df_iterations : int;
-      (** dataflow fixpoint-solver node visits (all lattice domains),
-          mirrored from the check layer's screening tier *)
+      (** dataflow node visits (two sweeps, so twice the reachable
+          nodes), mirrored from the check layer's screening tier *)
   mutable df_facts : int;  (** facts the dataflow tier derived *)
   mutable screened_out : int;
       (** expensive-engine work units (exact ODC computations, SAT
@@ -88,15 +88,6 @@ val add_finding : t -> severity:string -> code:string -> message:string -> unit
 
 val findings : t -> (string * string * string) list
 (** Findings in the order they fired, as [(severity, code, message)]. *)
-
-val score_hit_rate : t -> float
-(** Fraction of {!Bound_select.score} calls answered by the memo
-    ([0.] when no calls were made). *)
-
-val cof_hit_rate : t -> float
-(** Fraction of cofactor-vector requests answered without a
-    from-the-root computation (cached, incrementally extended or
-    decided). *)
 
 (** A phase clock marks the boundaries between the named phases of a
     loop iteration; the elapsed time since the previous mark is added

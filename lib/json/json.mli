@@ -47,9 +47,6 @@ val to_int : t -> int option
     are rejected with [None]. *)
 
 val to_float : t -> float option
-val to_str : t -> string option
-val to_bool : t -> bool option
-val to_list : t -> t list option
 
 val mem_int : string -> t -> int option
 val mem_float : string -> t -> float option

@@ -7,11 +7,6 @@ type literal = L0 | L1 | Ldash
 
 type cube = literal array
 
-val literal_of_char : char -> literal
-(** @raise Invalid_argument on characters other than '0', '1', '-'
-    (and '2', an Espresso synonym of '-'). *)
-
-val char_of_literal : literal -> char
 val cube_of_string : string -> cube
 val string_of_cube : cube -> string
 

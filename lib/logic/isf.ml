@@ -93,6 +93,3 @@ let random_extension m t st =
         vars
     in
     Bdd.or_ m t.on (Bdd.and_ m t.dc filler)
-
-let pp fmt t =
-  Format.fprintf fmt "@[<hv>{on=%a;@ dc=%a}@]" Bdd.pp t.on Bdd.pp t.dc

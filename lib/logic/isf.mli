@@ -81,5 +81,3 @@ val random_extension : Bdd.manager -> t -> Random.State.t -> Bdd.t
 (** A random extension (each dc minterm resolved independently is too
     expensive; this resolves dc by a random cube-wise pattern — adequate
     for tests). *)
-
-val pp : Format.formatter -> t -> unit

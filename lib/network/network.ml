@@ -287,20 +287,6 @@ let pp_stats fmt s =
     s.input_count s.output_count s.lut_count s.max_fanin s.depth
     s.two_input_gates s.inverters
 
-let lut_count_within t k =
-  let mark = reachable t in
-  let count = ref 0 in
-  for s = 0 to t.used - 1 do
-    if mark.(s) then
-      match t.nodes.(s) with
-      | Input _ | Const _ -> ()
-      | Lut { fanins; _ } ->
-          if Array.length fanins > k then
-            invalid_arg "Network.lut_count_within: node exceeds LUT size";
-          incr count
-  done;
-  !count
-
 let eval t assignment =
   let values = Array.make t.used false in
   for s = 0 to t.used - 1 do
@@ -411,5 +397,3 @@ let to_dot t =
     (List.rev t.output_list);
   Buffer.add_string buf "}\n";
   Buffer.contents buf
-
-let pp fmt t = pp_stats fmt (stats t)

@@ -132,10 +132,6 @@ type stats = {
 val stats : t -> stats
 val pp_stats : Format.formatter -> stats -> unit
 
-val lut_count_within : t -> int -> int
-(** [lut_count_within t k] counts LUT nodes with at most [k] fanins;
-    with [k >= max_fanin] this is [lut_count]. *)
-
 (** {1 Semantics} *)
 
 val eval : t -> (string -> bool) -> (string * bool) list
@@ -158,4 +154,3 @@ val sweep : t -> t
 (** {1 Output} *)
 
 val to_dot : t -> string
-val pp : Format.formatter -> t -> unit

@@ -94,7 +94,6 @@ val created_now : unit -> string
 (** {1 JSON} *)
 
 val run_to_json : run -> Json.t
-val run_of_json : Json.t -> (run, string) result
 
 val to_json : report -> Json.t
 
@@ -112,16 +111,10 @@ val write : dir:string -> report -> (string * string, string) result
 
 (** {1 Rendering} *)
 
-val value_to_string : value -> string
-
 val pp_section : Format.formatter -> section -> unit
 (** Console rendering: title, aligned table, notes, wall/alloc
     footer.  The bench harness prints sections only through this, so
     text output and JSON come from the same structure. *)
-
-val section_markdown : section -> string
-(** GitHub-flavoured markdown: heading, a provenance line naming
-    {!section.command}, the table, notes. *)
 
 val markdown : report -> string
 (** All sections of the report as markdown, for

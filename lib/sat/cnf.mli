@@ -25,9 +25,6 @@ val is_pos : lit -> bool
 val lit_of_bool : var -> bool -> lit
 (** [lit_of_bool v b] is the literal forcing [v = b]. *)
 
-val pp_lit : Format.formatter -> lit -> unit
-(** DIMACS-style rendering ([3] / [-3], counting variables from 1). *)
-
 type t
 
 val create : unit -> t

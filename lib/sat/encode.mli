@@ -51,9 +51,6 @@ val of_network : Cnf.t -> Network.t -> env
     equivalence miter is built.  Each LUT's covers are computed while
     that LUT is encoded and are not kept. *)
 
-val var_of_signal : env -> Network.signal -> Cnf.var
-(** @raise Invalid_argument for a signal outside the encoded cone. *)
-
 val input_vars : env -> (string * Cnf.var) list
 (** In {!Network.inputs} order. *)
 

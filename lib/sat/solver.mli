@@ -66,8 +66,11 @@ val value : t -> Cnf.var -> bool
 (** {1 Counters} (cumulative over the solver's lifetime) *)
 
 val conflicts : t -> int
-val decisions : t -> int
-val propagations : t -> int
-val restarts : t -> int
-val learned : t -> int
-val solve_calls : t -> int
+
+(* No caller reads these yet; the planned trace records them per span,
+   hence the srclint waivers. *)
+val decisions : t -> int (* srclint-ok: trace counter *)
+val propagations : t -> int (* srclint-ok: trace counter *)
+val restarts : t -> int (* srclint-ok: trace counter *)
+val learned : t -> int (* srclint-ok: trace counter *)
+val solve_calls : t -> int (* srclint-ok: trace counter *)

@@ -1,8 +1,7 @@
-(* The screening tier: behaviour of the generic fixpoint solver
-   (including the widening safety valve), soundness of every shipped
-   domain against a brute-force reference evaluator and the exact
-   Careflow engine, and the pure-observer property of the screened
-   semantic report. *)
+(* The screening tier: the cost, the order precondition and the
+   backward chain of its two sweeps, soundness of every fact against a
+   brute-force reference evaluator and the exact Careflow engine, and
+   the pure-observer property of the screened semantic report. *)
 
 let check_bool = Alcotest.(check bool)
 let check_int = Alcotest.(check int)
@@ -40,16 +39,11 @@ let outputs_under net tbl =
     (fun (name, s) -> (name, Hashtbl.find tbl (Network.signal_id s)))
     (Network.outputs net)
 
-(* Assignment [vec] over the primary inputs, with [pin] taking
-   precedence (the ternary input environment pins simulated inputs the
-   same way). *)
-let assign_of net ?(pin = fun _ -> None) vec =
+(* Assignment [vec] over the primary inputs. *)
+let assign_of net vec =
   let idx = Hashtbl.create 8 in
   List.iteri (fun i (name, _) -> Hashtbl.add idx name i) (Network.inputs net);
-  fun name ->
-    match pin name with
-    | Some b -> b
-    | None -> (vec lsr Hashtbl.find idx name) land 1 = 1
+  fun name -> (vec lsr Hashtbl.find idx name) land 1 = 1
 
 let var_of_input_of net =
   let tbl = Hashtbl.create 8 in
@@ -61,8 +55,7 @@ let gen_seed = QCheck2.Gen.int_range 0 9999
 let small_net seed =
   Randnet.cones ~ninputs:6 ~noutputs:4 ~window:4 ~gates_per_output:6 ~seed ()
 
-(* x -> a -> b -> c, output on c: exercises both directions of the
-   solver with artificial integer domains. *)
+(* x -> a -> b -> c, output on c, and an input nothing reads *)
 let chain_net () =
   let net = Network.create () in
   let x = Network.add_input net "x" in
@@ -70,123 +63,43 @@ let chain_net () =
   let b = Network.not_gate net a in
   let c = Network.not_gate net b in
   Network.set_output net "o" c;
+  ignore (Network.add_input net "unused");
   (net, a, b, c)
 
-module Depth (H : sig
-  val bound : int
-end) =
-struct
-  type fact = int
-
-  let name = "depth"
-  let direction = Dataflow.Forward
-  let bottom = 0
-  let equal = Int.equal
-  let join = max
-  let height_bound = H.bound
-  let widen _ _ = 1000
-
-  let transfer env lookup s =
-    match Network.view (Dataflow.env_network env) s with
-    | `Input _ | `Const _ -> 0
-    | `Lut (fanins, _) ->
-        1 + Array.fold_left (fun acc f -> max acc (lookup f)) 0 fanins
-end
-
-module Odist = struct
-  type fact = int
-
-  let name = "odist"
-  let direction = Dataflow.Backward
-  let bottom = 0
-  let equal = Int.equal
-  let join = max
-  let height_bound = 64
-  let widen _ _ = 1000
-
-  let transfer env lookup s =
-    let here = if Dataflow.outputs_of env s <> [] then 1 else 0 in
-    List.fold_left
-      (fun acc m -> max acc (1 + lookup m))
-      here
-      (Dataflow.fanout_arcs env s)
-end
-
-let solver_tests =
+let sweep_tests =
   [
-    Alcotest.test_case "forward fixpoint: depth in one sweep" `Quick (fun () ->
-        let net, a, b, c = chain_net () in
-        let module M = Dataflow.Fixpoint (Depth (struct
-          let bound = 64
-        end)) in
-        let r = M.run (Dataflow.env net) in
-        check_int "depth a" 1 (r.M.fact_of a);
-        check_int "depth b" 2 (r.M.fact_of b);
-        check_int "depth c" 3 (r.M.fact_of c);
-        check_int "no widening below the height bound" 0 r.M.widenings;
-        (* priority worklist: a DAG converges in exactly one sweep *)
-        check_int "one transfer per reachable signal" 4 r.M.iterations);
-    Alcotest.test_case "widening caps the ascent at the height bound"
-      `Quick (fun () ->
-        let net, a, b, c = chain_net () in
-        let module M = Dataflow.Fixpoint (Depth (struct
-          let bound = 0
-        end)) in
-        let r = M.run (Dataflow.env net) in
-        (* every LUT's first update already exceeds the bound, so each
-           is accelerated straight to the widened value *)
-        check_int "widened a" 1000 (r.M.fact_of a);
-        check_int "widened b" 1000 (r.M.fact_of b);
-        check_int "widened c" 1000 (r.M.fact_of c);
-        check_int "three accelerations" 3 r.M.widenings);
-    Alcotest.test_case "backward fixpoint: distance to the outputs"
-      `Quick (fun () ->
-        let net, a, b, c = chain_net () in
-        let module M = Dataflow.Fixpoint (Odist) in
-        let r = M.run (Dataflow.env net) in
-        check_int "output node" 1 (r.M.fact_of c);
-        check_int "one arc away" 2 (r.M.fact_of b);
-        check_int "two arcs away" 3 (r.M.fact_of a);
-        check_int "no widening" 0 r.M.widenings);
-  ]
-
-let ternary_tests =
-  [
-    Alcotest.test_case "constant fanins fold through the table" `Quick
+    Alcotest.test_case "each sweep visits every reachable node once" `Quick
       (fun () ->
-        (* [add_lut] folds constant fanins itself, so force the shape
-           the ternary domain exists for through the unsafe rewriter *)
-        let net = Network.create () in
-        let x = Network.add_input net "x" and y = Network.add_input net "y" in
-        let f = Network.const net false in
-        let n = Network.and_gate net x y in
-        Network.Unsafe.set_lut net n ~fanins:[| f; x |] ~tt:(tt "0001");
-        Network.set_output net "o" n;
+        let net, _, _, _ = chain_net () in
+        check_int "two visits for each of x, a, b, c" 8
+          (Dataflow.iterations (Dataflow.analyze net)));
+    Alcotest.test_case "pointwise observability runs down a chain" `Quick
+      (fun () ->
+        (* each reader is the next link's only one, and an inverter is
+           totally sensitive: the backward sweep carries o to a *)
+        let net, a, b, c = chain_net () in
         let df = Dataflow.analyze net in
-        match Dataflow.fact_of df n with
-        | None -> Alcotest.fail "no fact for the and-node"
-        | Some nf ->
-            check_bool "and(false, x) proved constant false" true
-              (nf.Dataflow.nf_const = Some false));
-    Alcotest.test_case "the input environment pins primary inputs" `Quick
+        List.iter
+          (fun s ->
+            match Dataflow.fact_of df s with
+            | None -> Alcotest.fail "no fact"
+            | Some nf ->
+                check_bool "drives o" true
+                  (nf.Dataflow.nf_obs_outputs = [ "o" ]))
+          [ a; b; c ]);
+    Alcotest.test_case "a fanin after its LUT is rejected as NET003" `Quick
       (fun () ->
         let net = Network.create () in
         let x = Network.add_input net "x" and y = Network.add_input net "y" in
-        let n = Network.add_lut net ~fanins:[ x; y ] ~tt:(tt "0111") in
+        let n = Network.and_gate net x y in
+        let late = Network.or_gate net x y in
+        Network.Unsafe.set_lut net n ~fanins:[| x; late |] ~tt:(tt "0001");
         Network.set_output net "o" n;
-        let pin nm = if nm = "x" then Some true else None in
-        let df = Dataflow.analyze ~input_env:pin net in
-        (match Dataflow.fact_of df n with
-        | None -> Alcotest.fail "no fact for the or-node"
-        | Some nf ->
-            check_bool "or(x=1, y) proved constant true" true
-              (nf.Dataflow.nf_const = Some true));
-        let unpinned = Dataflow.analyze net in
-        match Dataflow.fact_of unpinned n with
-        | None -> Alcotest.fail "no fact for the or-node"
-        | Some nf ->
-            check_bool "without the pin there is no constant" true
-              (nf.Dataflow.nf_const = None));
+        match Dataflow.analyze net with
+        | _ -> Alcotest.fail "the order violation was accepted"
+        | exception Invalid_argument msg ->
+            check_bool "the message names NET003" true
+              (String.starts_with ~prefix:"Dataflow.analyze: NET003" msg));
   ]
 
 (* Rebuild [net] with fanin position [j] of node [target] dropped (its
@@ -334,33 +247,6 @@ let screening_tests =
           (Diagnostic.normalize (sup a) = Diagnostic.normalize (sup b)));
   ]
 
-(* every proved constant holds on every permitted input vector *)
-let ternary_sound =
-  QCheck2.Test.make ~name:"ternary constants are sound (brute force)"
-    ~count:30 gen_seed (fun seed ->
-      let net = small_net seed in
-      let pin nm =
-        if nm = "x0" then Some (seed land 1 = 1)
-        else if nm = "x1" then Some (seed land 2 = 2)
-        else None
-      in
-      let df = Dataflow.analyze ~input_env:pin net in
-      List.for_all
-        (fun nf ->
-          match nf.Dataflow.nf_const with
-          | None -> true
-          | Some v ->
-              let ok = ref true in
-              for vec = 0 to 63 do
-                let tbl = eval_all net (assign_of net ~pin vec) in
-                if
-                  Hashtbl.find tbl (Network.signal_id nf.Dataflow.nf_signal)
-                  <> v
-                then ok := false
-              done;
-              !ok)
-        (Dataflow.facts df))
-
 (* every claimed-vacuous fanin really can be dropped: cofactor-equal
    locally, and the rebuilt network is BDD-equivalent globally *)
 let vacuous_sound =
@@ -403,8 +289,7 @@ let vacuous_sound =
 (* observability and code facts agree with the exact engine: a
    pointwise-driven node's ODC set is empty (its observability is the
    whole care space), flipping it really complements every claimed
-   output at every vector, witnessed codes are reachable, and a node
-   with both values witnessed is globally non-constant *)
+   output at every vector, and witnessed codes are reachable *)
 let obs_sound =
   QCheck2.Test.make
     ~name:"observability and code witnesses are sound (Careflow)" ~count:15
@@ -452,12 +337,7 @@ let obs_sound =
                && (not nf.Dataflow.nf_all_codes)
                   || reachable = Array.length info.Careflow.code_sets
              in
-             let values_ok =
-               (not nf.Dataflow.nf_both_values)
-               || (not (Bdd.is_zero info.Careflow.global))
-                  && not (Bdd.is_one info.Careflow.global)
-             in
-             obs_ok && codes_ok && values_ok)
+             obs_ok && codes_ok)
            (Dataflow.facts df))
 
 (* the tentpole property: screening changes cost, never the report *)
@@ -515,7 +395,6 @@ let eval_cover_matches_table =
 
 let props =
   [
-    ternary_sound;
     vacuous_sound;
     obs_sound;
     pure_observer;
@@ -551,7 +430,7 @@ let test_examples_pure_observer () =
     blifs
 
 let suite =
-  solver_tests @ ternary_tests @ support_tests @ screening_tests
+  sweep_tests @ support_tests @ screening_tests
   @ [
       Alcotest.test_case "screening is a pure observer on the examples"
         `Quick test_examples_pure_observer;
