@@ -50,6 +50,20 @@ let run_driver m cfg spec =
   let report = Driver.decompose_report ~cfg ~stats:!section_stats m spec in
   Network.sweep report.Driver.network
 
+(* One run of [alg] on its own manager and spec, so that its allocation
+   and node count are its own and not what an earlier run left in a
+   shared manager; the node count is read before the verify adds nodes
+   of its own. *)
+let run_alone ?lut_size build alg =
+  let m = Bdd.manager () in
+  let spec = build m in
+  let net, w, a, s =
+    with_run_stats (fun () -> run_driver m (Mulop.config_of ?lut_size alg) spec)
+  in
+  let nodes = Bdd.node_count m in
+  assert (Driver.verify m spec net);
+  (net, w, a, s, nodes)
+
 let row label cells = { R.label; cells }
 
 let mk_run ?(stable = true) ?luts ?clbs ?depth ?bdd_nodes ~algorithm ~wall
@@ -99,18 +113,7 @@ let table1 quick =
       if quick && List.mem e.Mcnc.name slow_circuits then
         skipped := label :: !skipped
       else begin
-        (* each algorithm gets its own manager and spec, and its node
-           count is read before the verify adds nodes of its own *)
-        let run alg =
-          let m = Bdd.manager () in
-          let spec = e.Mcnc.build m in
-          let net, w, a, s =
-            with_run_stats (fun () -> run_driver m (Mulop.config_of alg) spec)
-          in
-          let nodes = Bdd.node_count m in
-          assert (Driver.verify m spec net);
-          (net, w, a, s, nodes)
-        in
+        let run = run_alone e.Mcnc.build in
         let ii, ii_w, ii_a, ii_s, ii_nodes = run Mulop.Mulop_ii in
         let dc, dc_w, dc_a, dc_s, dc_nodes = run Mulop.Mulop_dc in
         let cii = Clb.clb_count Clb.First_fit ii in
@@ -241,20 +244,11 @@ let figure2 quick =
   let sizes = if quick then [ 4; 8 ] else [ 4; 6; 8 ] in
   List.iter
     (fun bits ->
-      let m = Bdd.manager () in
-      let spec = Arith.adder m ~bits in
       let cs = Network.stats (Circuits.conditional_sum_adder ~bits) in
       let name = Printf.sprintf "adder%d" bits in
-      let dc, dc_w, dc_a, dc_s =
-        with_run_stats (fun () ->
-            run_driver m (Mulop.config_of ~lut_size:2 Mulop.Mulop_dc) spec)
-      in
-      let ii, ii_w, ii_a, ii_s =
-        with_run_stats (fun () ->
-            run_driver m (Mulop.config_of ~lut_size:2 Mulop.Mulop_ii) spec)
-      in
-      assert (Driver.verify m spec dc);
-      assert (Driver.verify m spec ii);
+      let run = run_alone ~lut_size:2 (fun m -> Arith.adder m ~bits) in
+      let dc, dc_w, dc_a, dc_s, _ = run Mulop.Mulop_dc in
+      let ii, ii_w, ii_a, ii_s, _ = run Mulop.Mulop_ii in
       let sdc = Network.stats dc and sii = Network.stats ii in
       runs :=
         mk_run ~algorithm:"mulopII" ~wall:ii_w ~alloc:ii_a ~stats:ii_s
@@ -296,20 +290,11 @@ let figure3 quick =
   let sizes = if quick then [ 3 ] else [ 3; 4 ] in
   List.iter
     (fun n ->
-      let m = Bdd.manager () in
-      let spec = Arith.partial_multiplier m ~n in
       let w = Network.stats (Circuits.wallace_partial_multiplier ~n) in
       let name = Printf.sprintf "pm%d" n in
-      let dc, dc_w, dc_a, dc_s =
-        with_run_stats (fun () ->
-            run_driver m (Mulop.config_of ~lut_size:2 Mulop.Mulop_dc) spec)
-      in
-      let ii, ii_w, ii_a, ii_s =
-        with_run_stats (fun () ->
-            run_driver m (Mulop.config_of ~lut_size:2 Mulop.Mulop_ii) spec)
-      in
-      assert (Driver.verify m spec dc);
-      assert (Driver.verify m spec ii);
+      let run = run_alone ~lut_size:2 (fun m -> Arith.partial_multiplier m ~n) in
+      let dc, dc_w, dc_a, dc_s, _ = run Mulop.Mulop_dc in
+      let ii, ii_w, ii_a, ii_s, _ = run Mulop.Mulop_ii in
       let gdc = (Network.stats dc).Network.lut_count in
       let gii = (Network.stats ii).Network.lut_count in
       runs :=

@@ -151,8 +151,13 @@ let op_leq = 8
 let op_equal_on = 9
 let op_equal_cof = 10
 let op_leq_cof = 11
+let op_equal_cof2 = 12
+let op_leq_cof2 = 13
+let op_exchange = 14
+let op_exchange_half = 15
 
-(* The operation code sits in the low [op_bits] of a key's first int. *)
+(* The operation code sits in the low [op_bits] of a key's first int;
+   codes 0-15 fill them. *)
 let op_bits = 4
 
 (* What a lookup returns on a miss; never stored, compared physically. *)
@@ -367,6 +372,79 @@ let bits a b = (if a then 2 else 0) lor if b then 1 else 0
 let equal_cof m v f a g b = equal_cof_rec m v (bits a b) f g
 let leq_cof m v f a g b = leq_cof_rec m v (bits a b) f g
 
+(* The same questions about [f|i=a,j=b] and [g|i=c,j=d] with [i < j].
+   [q = 8a + 4b + 2c + d] carries the four bits and [ij] packs the two
+   variables.  Above [i] the operands are walked in lockstep; at and
+   below [i] each descends into its fixed branch on [i], and the
+   one-variable walk on [j] takes over with the bits [2b + d]. *)
+let j_bits q = ((q lsr 1) land 2) lor (q land 1)
+
+let rec equal_cof2_rec m i j ij q f g =
+  let lf = level f and lg = level g in
+  let u = if lf <= lg then lf else lg in
+  if u >= i then
+    equal_cof_rec m j (j_bits q)
+      (branch f i (q land 8 <> 0))
+      (branch g i (q land 2 <> 0))
+  else
+    let fi = id f and gi = id g in
+    if fi = gi && q lsr 2 = q land 3 then true
+    else
+      (* Symmetric: the smaller id goes first, its two bits with it. *)
+      let fi, gi, f, g, q =
+        if fi <= gi then (fi, gi, f, g, q)
+        else (gi, fi, g, f, ((q land 3) lsl 2) lor (q lsr 2))
+      in
+      let k0 = (fi lsl op_bits) lor op_equal_cof2 and k1 = (gi lsl 4) lor q in
+      let r = cache_find m k0 k1 ij in
+      if r != absent then r == One
+      else
+        let b =
+          equal_cof2_rec m i j ij q (cof_hi f u) (cof_hi g u)
+          && equal_cof2_rec m i j ij q (cof_lo f u) (cof_lo g u)
+        in
+        cache_add m k0 k1 ij (verdict b);
+        b
+
+let rec leq_cof2_rec m i j ij q f g =
+  let fi = id f and gi = id g in
+  if fi = 0 || gi = 1 then true
+  else
+    let lf = level f and lg = level g in
+    let u = if lf <= lg then lf else lg in
+    if u >= i then
+      leq_cof_rec m j (j_bits q)
+        (branch f i (q land 8 <> 0))
+        (branch g i (q land 2 <> 0))
+    else
+      let k0 = (fi lsl op_bits) lor op_leq_cof2 and k1 = (gi lsl 4) lor q in
+      let r = cache_find m k0 k1 ij in
+      if r != absent then r == One
+      else
+        let b =
+          leq_cof2_rec m i j ij q (cof_hi f u) (cof_hi g u)
+          && leq_cof2_rec m i j ij q (cof_lo f u) (cof_lo g u)
+        in
+        cache_add m k0 k1 ij (verdict b);
+        b
+
+(* Orders the pair, swapping each operand's two bits with it, and packs
+   it into one int: [(i lsl 31) lor (j - i)] is injective while both
+   lie in [[-2^31, 2^31)] and [j - i < 2^31]; the bounds on [i] and [j]
+   come first, so [j - i] cannot overflow. *)
+let cof2 ~what decide m i j f a b g c d =
+  if i = j then invalid_arg (what ^ ": one variable twice");
+  let i, j, a, b, c, d = if i < j then (i, j, a, b, c, d) else (j, i, b, a, d, c) in
+  if i < -(1 lsl 31) || j >= 1 lsl 31 || j - i >= 1 lsl 31 then
+    invalid_arg (what ^ ": variables too far apart");
+  decide m i j ((i lsl 31) lor (j - i)) ((bits a b lsl 2) lor bits c d) f g
+
+let equal_cof2 m i j f a b g c d =
+  cof2 ~what:"Bdd.equal_cof2" equal_cof2_rec m i j f a b g c d
+
+let leq_cof2 m i j f a b g c d =
+  cof2 ~what:"Bdd.leq_cof2" leq_cof2_rec m i j f a b g c d
+
 let rec ite m f g h =
   let fi = id f and gi = id g and hj = id h in
   if fi = 1 then g
@@ -412,6 +490,79 @@ let rec restrict_rec m v b tag f =
 let restrict m f v b = restrict_rec m v b ((v * 2) + if b then 1 else 0) f
 
 let cofactor2 m f v = (restrict m f v false, restrict m f v true)
+
+(* ---- exchange closure ----
+
+   With [i < j], the result keeps [f] on the fixed quadrants
+   [(x_i, x_j) = (0, rel)] and [(1, not rel)] and holds
+   [f_a op f_b] on both moved ones, [a = (0, not rel)] and
+   [b = (1, rel)].  Above [i] the walk copies [f]'s nodes; at [i] it
+   splits [f] into its two halves, and each half of the result is a
+   lockstep walk of both down to [j], where the moved quadrant is one
+   [apply_rec].  Every node [mk] is asked for is a node of the result,
+   so a function that is already closed builds none.  [tag] packs [j],
+   [rel] and the operation. *)
+
+(* The half [x_i = side] of the result, from [x = f|i=0] and
+   [y = f|i=1]: its fixed quadrant on [x_j] is [x]'s at [rel] for side
+   0 and [y]'s at [not rel] for side 1; its moved one is
+   [x|j=not rel op y|j=rel]. *)
+let rec exchange_half m j op rel tag side x y =
+  let lx = level x and ly = level y in
+  let u = if lx <= ly then lx else ly in
+  let k0 = (id x lsl op_bits) lor op_exchange_half
+  and k1 = id y
+  and k2 = (tag lsl 1) lor side in
+  let r = cache_find m k0 k1 k2 in
+  if r != absent then r
+  else
+    let r =
+      if u < j then
+        let hi = exchange_half m j op rel tag side (cof_hi x u) (cof_hi y u) in
+        let lo = exchange_half m j op rel tag side (cof_lo x u) (cof_lo y u) in
+        mk m u lo hi
+      else
+        let moved = apply_rec m op (branch x j (not rel)) (branch y j rel) in
+        if side = 0 then
+          let kept = branch x j rel in
+          if rel then mk m j moved kept else mk m j kept moved
+        else
+          let kept = branch y j (not rel) in
+          if rel then mk m j kept moved else mk m j moved kept
+    in
+    cache_add m k0 k1 k2 r;
+    r
+
+let rec exchange_rec m i j op rel tag f =
+  match f with
+  | Zero | One -> f
+  | Node n ->
+      if n.v > j then f
+      else
+        let k0 = (n.id lsl op_bits) lor op_exchange in
+        let r = cache_find m k0 i tag in
+        if r != absent then r
+        else
+          let r =
+            if n.v < i then
+              let hi = exchange_rec m i j op rel tag n.hi in
+              let lo = exchange_rec m i j op rel tag n.lo in
+              mk m n.v lo hi
+            else
+              let f0 = cof_lo f i and f1 = cof_hi f i in
+              let hi = exchange_half m j op rel tag 1 f0 f1 in
+              let lo = exchange_half m j op rel tag 0 f0 f1 in
+              mk m i lo hi
+          in
+          cache_add m k0 i tag r;
+          r
+
+let exchange_close m op f ~rel i j =
+  if i = j then invalid_arg "Bdd.exchange_close: one variable twice";
+  let i, j = if i < j then (i, j) else (j, i) in
+  let op = match op with `Or -> op_or | `And -> op_and in
+  let tag = (j lsl 2) lor (if rel then 2 else 0) lor op in
+  exchange_rec m i j op rel tag f
 
 let exists m vars f =
   let vars = List.sort_uniq Stdlib.compare vars in

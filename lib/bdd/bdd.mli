@@ -11,9 +11,10 @@
     nodes themselves and a lookup compares (variable, lo id, hi id) read
     from the node, so finding or creating a node allocates only the new
     node.  One direct-mapped, lossy computed table memoizes and, or,
-    xor, not, diff, ite and restrict, and the verdicts of the decisions
-    {!disjoint}, {!leq}, {!equal_on}, {!equal_cof} and {!leq_cof},
-    keyed on packed operand ids and a 4-bit operation code.  Both size
+    xor, not, diff, ite, restrict and {!exchange_close}, and the
+    verdicts of the decisions {!disjoint}, {!leq}, {!equal_on},
+    {!equal_cof}, {!leq_cof}, {!equal_cof2} and {!leq_cof2}, keyed on
+    packed operand ids and a 4-bit operation code.  Both size
     themselves from the node count: the unique table doubles at half
     load and the computed table follows it up to a fixed cap.  A node's
     id is its creation rank, and whether an operation hits the computed
@@ -22,12 +23,13 @@
 
     {b Decide, do not build.}  A yes/no question about functions —
     is [f /\ g] empty, is [f] inside [g], do [f] and [g] agree on a
-    care set, is one cofactor on [v] equal to or inside another — is
-    asked with {!disjoint}, {!leq}, {!equal_on}, {!equal_cof} or
-    {!leq_cof}.  Building the conjunction, the difference or the
-    cofactors only to compare them creates nodes that nothing else
-    reads.  A cofactor's value at one assignment, a cheap filter
-    before {!equal_cof}, is read by {!eval_cof} down one path.
+    care set, is one cofactor on one or two variables equal to or
+    inside another — is asked with {!disjoint}, {!leq}, {!equal_on},
+    {!equal_cof}, {!leq_cof}, {!equal_cof2} or {!leq_cof2}.  Building
+    the conjunction, the difference or the cofactors only to compare
+    them creates nodes that nothing else reads.  A cofactor's value at
+    one assignment, a cheap filter before {!equal_cof}, is read by
+    {!eval_cof} down one path.
 
     Mixing nodes of different managers in one operation is a programming
     error; it is detected (cheaply, via node ids) only by assertions.
@@ -133,18 +135,48 @@ val equal_on : manager -> care:t -> t -> t -> bool
 val equal_cof : manager -> int -> t -> bool -> t -> bool -> bool
 (** [equal_cof m v f a g b]: is [restrict m f v a] equal to
     [restrict m g v b]?  Below [v] canonical nodes compare by id.  The
-    bound-set search asks it of the halves of a split cofactor vector,
-    step 1 of a completely specified function's exchange. *)
+    bound-set search asks it of the halves of a split cofactor vector. *)
 
 val leq_cof : manager -> int -> t -> bool -> t -> bool -> bool
 (** [leq_cof m v f a g b]: is [restrict m f v a] contained in
     [restrict m g v b]?  Below [v] the walk hands over to {!leq}. *)
+
+(** The next two fix two distinct variables [i] and [j], in either
+    order: above the upper one they walk [f] and [g] in lockstep, and at
+    and below it each descends into its fixed branch there and the walk
+    on the lower one of {!equal_cof} or {!leq_cof} takes over.  Memoized
+    under the two ids, the four bits and the ordered pair.  Either
+    variable may lie above, at or below the operands' tops, or outside
+    their supports.
+    @raise Invalid_argument if [i = j], or if the two lie [2^31] or
+    more apart or outside [[-2^31, 2^31)]. *)
+
+val equal_cof2 :
+  manager -> int -> int -> t -> bool -> bool -> t -> bool -> bool -> bool
+(** [equal_cof2 m i j f a b g c d]: is [f|i=a,j=b] equal to
+    [g|i=c,j=d]?  Step 1 asks it of the two moved quadrants of an
+    exchange of [x_i] and [x_j]. *)
+
+val leq_cof2 :
+  manager -> int -> int -> t -> bool -> bool -> t -> bool -> bool -> bool
+(** [leq_cof2 m i j f a b g c d]: is [f|i=a,j=b] contained in
+    [g|i=c,j=d]? *)
 
 (** {1 Cofactors, quantification, substitution} *)
 
 val restrict : manager -> t -> int -> bool -> t
 (** [restrict m f v b] is the cofactor of [f] with variable [v] fixed
     to [b]. *)
+
+val exchange_close : manager -> [ `Or | `And ] -> t -> rel:bool -> int -> int -> t
+(** [exchange_close m op f ~rel i j] is [f] on the two quadrants of
+    [(x_i, x_j)] that the exchange with relative phase [rel] fixes,
+    [(0, rel)] and [(1, not rel)], and [f_a op f_b] on both quadrants it
+    swaps, [a = (0, not rel)] and [b = (1, rel)]: [f \/ sigma(f)] for
+    [`Or] and [f /\ sigma(f)] for [`And].  One memoized pass builds
+    only nodes of the result, so a function invariant under the
+    exchange comes back as itself and builds none.  Symmetric in [i]
+    and [j].  @raise Invalid_argument if [i = j]. *)
 
 val exists : manager -> int list -> t -> t
 

@@ -37,7 +37,14 @@ let spec_of_csf m input_names functions =
 
 type sink = Output of string | Alpha_var of int
 
-type item = { sink : sink; isf : Isf.t; shannon_depth : int }
+(* [support] is [Isf.support] of [isf], read once when the item is
+   made: the worklist scans read it on every pass. *)
+type item = {
+  sink : sink;
+  isf : Isf.t;
+  support : int list;
+  shannon_depth : int;
+}
 
 let sink_name = function
   | Output name -> "output " ^ name
@@ -126,12 +133,15 @@ let decompose_report ?(cfg = Config.default) ?(budget = Budget.unlimited)
     decr next_var;
     v
   in
+  let item ?(depth = 0) sink isf =
+    { sink; isf; support = Isf.support m isf; shannon_depth = depth }
+  in
   let worklist =
     ref
       (List.map
          (fun (name, isf) ->
            let isf = if cfg.Config.zero_dc_on_entry then Isf.assign_all_zero m isf else isf in
-           { sink = Output name; isf; shannon_depth = 0 })
+           item (Output name) isf)
          spec.functions)
   in
   if cheap then
@@ -153,7 +163,7 @@ let decompose_report ?(cfg = Config.default) ?(budget = Budget.unlimited)
      signals.  Remaining don't cares are assigned 0 at this point: the
      LUT content is free, the LUT count is not. *)
   let try_emit item =
-    let sup = Isf.support m item.isf in
+    let sup = item.support in
     if List.length sup <= cfg.Config.lut_size && List.for_all bound_var sup then begin
       let sup_arr = Array.of_list sup in
       let on = Isf.on item.isf in
@@ -186,32 +196,30 @@ let decompose_report ?(cfg = Config.default) ?(budget = Budget.unlimited)
      memoized by ISF identity so that repeated fallbacks share subcircuits
      (otherwise a cascade of expansions duplicates whole cofactor trees). *)
   let shannon_cache : (int * int, int) Hashtbl.t = Hashtbl.create 64 in
-  let shannon item =
+  let shannon it =
     incr shannon_count;
-    let sup = Isf.support m item.isf in
     let v =
-      match List.filter bound_var sup with
+      match List.filter bound_var it.support with
       | v :: _ -> v
       | [] -> invalid_arg "Driver: item with no bound variable in support"
     in
-    let depth = item.shannon_depth + 1 in
+    let depth = it.shannon_depth + 1 in
     let cofactor_var b =
-      let f = Isf.restrict m item.isf v b in
+      let f = Isf.restrict m it.isf v b in
       let key = (Bdd.id (Isf.on f), Bdd.id (Isf.dc f)) in
       match Hashtbl.find_opt shannon_cache key with
       | Some var -> (var, [])
       | None ->
           let var = fresh_var () in
           Hashtbl.add shannon_cache key var;
-          (var, [ { sink = Alpha_var var; isf = f; shannon_depth = depth } ])
+          (var, [ item ~depth (Alpha_var var) f ])
     in
     let a, new0 = cofactor_var false in
     let b, new1 = cofactor_var true in
     let items0 = new0 @ new1 in
     if cfg.Config.lut_size >= 3 then begin
       let mux = Bdd.ite m (Bdd.var m v) (Bdd.var m b) (Bdd.var m a) in
-      { sink = item.sink; isf = Isf.of_csf m mux; shannon_depth = depth }
-      :: items0
+      item ~depth it.sink (Isf.of_csf m mux) :: items0
     end
     else begin
       (* 2-input gates: f = (v /\ f1) \/ (~v /\ f0) *)
@@ -219,9 +227,9 @@ let decompose_report ?(cfg = Config.default) ?(budget = Budget.unlimited)
       let and1 = Bdd.and_ m (Bdd.var m v) (Bdd.var m b) in
       let and2 = Bdd.and_ m (Bdd.nvar m v) (Bdd.var m a) in
       let orr = Bdd.or_ m (Bdd.var m c) (Bdd.var m d) in
-      { sink = item.sink; isf = Isf.of_csf m orr; shannon_depth = depth }
-      :: { sink = Alpha_var c; isf = Isf.of_csf m and1; shannon_depth = depth }
-      :: { sink = Alpha_var d; isf = Isf.of_csf m and2; shannon_depth = depth }
+      item ~depth it.sink (Isf.of_csf m orr)
+      :: item ~depth (Alpha_var c) (Isf.of_csf m and1)
+      :: item ~depth (Alpha_var d) (Isf.of_csf m and2)
       :: items0
     end
   in
@@ -276,7 +284,7 @@ let decompose_report ?(cfg = Config.default) ?(budget = Budget.unlimited)
         Hashtbl.add mux_memo key s;
         s
   in
-  let support_size item = List.length (Isf.support m item.isf) in
+  let support_size it = List.length it.support in
   (* Shannon/MUX fallback for one item, shared between the no-progress
      path and the terminal [Shannon_only] degradation stage.  Exempt
      from budget checks: this is the guaranteed-progress path, and
@@ -287,7 +295,7 @@ let decompose_report ?(cfg = Config.default) ?(budget = Budget.unlimited)
     let rest = List.filter (fun it -> it.sink <> target_sink) !worklist in
     if
       (force || target.shannon_depth >= 2)
-      && List.for_all bound_var (Isf.support m target.isf)
+      && List.for_all bound_var target.support
     then begin
       bind target.sink (emit_mux_tree target.isf);
       worklist := rest
@@ -305,7 +313,7 @@ let decompose_report ?(cfg = Config.default) ?(budget = Budget.unlimited)
   let attempt primary region =
     let cfg = dcfg () in
     let participates it =
-      List.exists (fun v -> List.mem v region) (Isf.support m it.isf)
+      List.exists (fun v -> List.mem v region) it.support
       && support_size it > cfg.Config.lut_size
     in
     let participants, others = List.partition participates !worklist in
@@ -321,8 +329,8 @@ let decompose_report ?(cfg = Config.default) ?(budget = Budget.unlimited)
       else begin
         let frequency v =
           Array.fold_left
-            (fun acc f -> if List.mem v (Isf.support m f) then acc + 1 else acc)
-            0 isfs
+            (fun acc it -> if List.mem v it.support then acc + 1 else acc)
+            0 participants
         in
         region
         |> List.map (fun v -> (-frequency v, v))
@@ -513,16 +521,12 @@ let decompose_report ?(cfg = Config.default) ?(budget = Budget.unlimited)
                        gates), so the decomposition function becomes a
                        new work item and is decomposed recursively. *)
                     alpha_items :=
-                      {
-                        sink = Alpha_var var;
-                        isf = Isf.of_csf m func;
-                        shannon_depth = 0;
-                      }
-                      :: !alpha_items)
+                      item (Alpha_var var) (Isf.of_csf m func) :: !alpha_items)
                 result.Step.alphas;
               Array.iteri
                 (fun i g ->
-                  participants.(i) <- { (participants.(i)) with isf = g })
+                  let it = participants.(i) in
+                  participants.(i) <- item ~depth:it.shannon_depth it.sink g)
                 result.Step.g);
         !progressed
       end
@@ -579,7 +583,7 @@ let decompose_report ?(cfg = Config.default) ?(budget = Budget.unlimited)
         List.filter
           (fun it ->
             support_size it > cfg.Config.lut_size
-            && List.exists bound_var (Isf.support m it.isf))
+            && List.exists bound_var it.support)
           !worklist
       in
       (match decomposable with
@@ -607,7 +611,7 @@ let decompose_report ?(cfg = Config.default) ?(budget = Budget.unlimited)
                   List.fold_left
                     (fun acc v -> max acc (arrival v))
                     0
-                    (List.filter bound_var (Isf.support m it.isf))
+                    (List.filter bound_var it.support)
                 in
                 List.fold_left
                   (fun best it ->
@@ -624,7 +628,7 @@ let decompose_report ?(cfg = Config.default) ?(budget = Budget.unlimited)
                emit the remaining items as shared MUX trees. *)
             fallback ~force:true primary.sink
           else begin
-            let region = List.filter bound_var (Isf.support m primary.isf) in
+            let region = List.filter bound_var primary.support in
             try attempt primary region
             with Budget.Out_of_budget { reason; where } ->
               let stage = Budget.degrade budget m reason in

@@ -16,72 +16,48 @@ let symmetric_pair m fs ~rel i j =
    quadrant q: sigma(g)_q = g_q on a fixed quadrant, sigma(g)_a = g_b
    and sigma(g)_b = g_a.  So the test and the closure below need only
    quadrant cofactors, and yield the same canonical BDDs as [swap_rel]
-   would. *)
+   would.  Neither builds a cofactor: the kernel decides questions
+   about quadrants where they lie and closes a function in one pass. *)
 
 (* on <= sigma(up), with up = on \/ dc: on the fixed quadrants it is
    on_q <= up_q, which always holds; on the moved ones it is
    on_a <= up_b and on_b <= up_a.  The mirrored test sigma(on) <= up
-   is sigma of this one.  The cofactors on [i] are built (the computed
-   table shares them across every [j]); the quadrants on [j] are only
-   compared, so they are decided without building them.  A completely
-   specified function has [up == on]: it restricts one DAG, not two,
-   and the two inclusions say on_a = on_b. *)
-let exchangeable m f rel i j =
-  let on = Isf.on f and up = Isf.up m f in
-  let on0 = Bdd.restrict m on i false and up1 = Bdd.restrict m up i true in
-  if up == on then Bdd.equal_cof m j on0 (not rel) up1 rel
+   is sigma of this one.  A completely specified function has
+   [up == on], and the two inclusions say on_a = on_b. *)
+let exchangeable m ~on ~up rel i j =
+  if up == on then Bdd.equal_cof2 m i j on false (not rel) on true rel
   else
-    Bdd.leq_cof m j on0 (not rel) up1 rel
-    &&
-    let on1 = Bdd.restrict m on i true and up0 = Bdd.restrict m up i false in
-    Bdd.leq_cof m j on1 rel up0 (not rel)
+    Bdd.leq_cof2 m i j on false (not rel) up true rel
+    && Bdd.leq_cof2 m i j on true rel up false (not rel)
 
 let rec all_exchangeable m rel i j = function
   | [] -> true
-  | f :: rest -> exchangeable m f rel i j && all_exchangeable m rel i j rest
+  | f :: rest ->
+      exchangeable m ~on:(Isf.on f) ~up:(Isf.up m f) rel i j
+      && all_exchangeable m rel i j rest
 
 let symmetrizable m fs ~rel i j = i <> j && all_exchangeable m rel i j fs
-
-(* g with both moved quadrants replaced by [u]; [c] and [d] are g's
-   cofactors on the fixed quadrants (0, rel) and (1, not rel). *)
-let with_moved m rel i j ~c ~d u =
-  let vj = Bdd.var m j in
-  let lo = if rel then Bdd.ite m vj c u else Bdd.ite m vj u c in
-  let hi = if rel then Bdd.ite m vj u d else Bdd.ite m vj d u in
-  Bdd.ite m (Bdd.var m i) hi lo
 
 exception Conflict
 
 (* g \/ sigma(g) keeps g on the fixed quadrants and puts g_a \/ g_b on
-   both moved ones.  So the closed on-set there is u_on = on_a \/ on_b
-   and the closed off-set is off_a \/ off_b, the complement of
-   u_up = up_a /\ up_b; they meet unless u_on <= u_up, and then
-   [Conflict] is raised.  The closed dc-set is the old one on the fixed
-   quadrants and u_up /\ not u_on on the moved ones.  Complements are
-   canonical, so the off-sets agree exactly when the up-sets do. *)
+   both moved ones.  So the closed on-set there is on_a \/ on_b and
+   the closed off-set is off_a \/ off_b, the complement of
+   up_a /\ up_b: the closed ISF is the interval between
+   [exchange_close] of [on] under \/ and of [up] under /\.  The two
+   meet unless on_a \/ on_b <= up_a /\ up_b, whose two nontrivial
+   inclusions are the exchange test; then [Conflict] is raised.  A
+   function whose moved quadrants already agree is returned as it
+   is. *)
 let close_one m f rel i j =
   let on = Isf.on f and up = Isf.up m f in
-  let on0 = Bdd.restrict m on i false and on1 = Bdd.restrict m on i true in
-  let up0 = Bdd.restrict m up i false and up1 = Bdd.restrict m up i true in
-  let on_a = Bdd.restrict m on0 j (not rel)
-  and on_b = Bdd.restrict m on1 j rel in
-  let up_a = Bdd.restrict m up0 j (not rel)
-  and up_b = Bdd.restrict m up1 j rel in
-  if Bdd.equal on_a on_b && Bdd.equal up_a up_b then f
+  let fixed g = Bdd.equal_cof2 m i j g false (not rel) g true rel in
+  if fixed on && (up == on || fixed up) then f
+  else if not (exchangeable m ~on ~up rel i j) then raise Conflict
   else
-    let u_on = Bdd.or_ m on_a on_b and u_up = Bdd.and_ m up_a up_b in
-    if not (Bdd.leq m u_on u_up) then raise Conflict;
-    let dc = Isf.dc f in
-    let dc0 = Bdd.restrict m dc i false and dc1 = Bdd.restrict m dc i true in
-    let on' =
-      with_moved m rel i j ~c:(Bdd.restrict m on0 j rel)
-        ~d:(Bdd.restrict m on1 j (not rel)) u_on
-    and dc' =
-      with_moved m rel i j ~c:(Bdd.restrict m dc0 j rel)
-        ~d:(Bdd.restrict m dc1 j (not rel))
-        (Bdd.diff m u_up u_on)
-    in
-    Isf.make m ~on:on' ~dc:dc'
+    Isf.of_on_up m
+      ~on:(Bdd.exchange_close m `Or on ~rel i j)
+      ~up:(Bdd.exchange_close m `And up ~rel i j)
 
 let rec close_all m rel i j = function
   | [] -> []
@@ -96,20 +72,24 @@ let symmetrize m fs ~rel i j =
     | fs' -> Some fs'
     | exception Conflict -> None
 
-(* Exchange relations induced by the phases of a group: every pair of
-   members, with the xor of their phases. *)
-let group_pairs g =
-  let rec go = function
-    | [] -> []
-    | (v, pv) :: rest ->
-        List.map (fun (w, pw) -> (v, w, pv <> pw)) rest @ go rest
-  in
-  go g
+(* Consecutive members of a group, with the xor of their phases.  With
+   y_v = x_v xor p_v for a member v of phase p_v, the exchange of v and
+   w with phase p_v xor p_w is the plain exchange of y_v and y_w, and
+   the transpositions of neighbours generate every permutation: this
+   chain generates every exchange of the group. *)
+let rec chain = function
+  | (v, pv) :: ((w, pw) :: _ as rest) -> (v, w, pv <> pw) :: chain rest
+  | [] | [ _ ] -> []
 
-(* Close the function vector under all exchange relations of a group:
-   repeat the forced assignments until a fixpoint.  Terminates because
-   the care set only grows.  [None] if some pair becomes conflicting. *)
-let close m fs pairs =
+(* Repeat the forced assignments of the chain's exchanges until a
+   fixpoint; it terminates because the care set only grows.  Each set
+   only ever grows inside its orbit union under the group, and the
+   fixpoint is invariant under every generator, hence under the group:
+   it is the closure under all pairs, and a conflict appears exactly
+   when the on-set's and the off-set's orbit unions meet.  [None] if
+   some exchange becomes conflicting. *)
+let close_group m fs group =
+  let pairs = chain group in
   let rec loop fs =
     let changed = ref false in
     let step fs (i, j, rel) =
@@ -128,8 +108,6 @@ let close m fs pairs =
   in
   loop fs
 
-let close_group m fs group = close m fs (group_pairs group)
-
 type result = { functions : Isf.t list; groups : group list }
 
 let maximize ?(budget = 4000) ?(use_equivalence = true) ?(check = ignore) m fs
@@ -141,7 +119,7 @@ let maximize ?(budget = 4000) ?(use_equivalence = true) ?(check = ignore) m fs
       check ();
       decr budget;
       (* Cheap rejection first: every cross pair must be individually
-         symmetrizable before attempting the (quadratic) closure. *)
+         symmetrizable before attempting the closure. *)
       let cross_ok =
         List.for_all
           (fun (v, pv) ->
@@ -153,7 +131,7 @@ let maximize ?(budget = 4000) ?(use_equivalence = true) ?(check = ignore) m fs
       if not cross_ok then None
       else
         let merged = g1 @ List.map (fun (w, pw) -> (w, pw <> q)) g2 in
-        match close m fs (group_pairs merged) with
+        match close_group m fs merged with
         | Some fs' -> Some (fs', merged)
         | None -> None
     end

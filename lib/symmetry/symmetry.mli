@@ -56,12 +56,14 @@ val swap_rel : Bdd.manager -> Bdd.t -> rel:bool -> int -> int -> Bdd.t
 (** The exchange of [x_i] and [x_j] with phase [rel] fixes the quadrants
     [(x_i, x_j) = (0, rel)] and [(1, not rel)] of the pair and swaps the
     other two, [a = (0, not rel)] and [b = (1, rel)].  The two functions
-    below read the cofactors of the on-set and of [up = on \/ dc]
-    ({!Isf.up}) on these quadrants instead of building [sigma] of the
-    whole function; their results are the same canonical BDDs as the
-    [swap_rel] formulation.  The off-set is the complement of [up], so
-    no complement is built.  Both treat [i = j] as never
-    symmetrizable. *)
+    below ask about the on-set and [up = on \/ dc] ({!Isf.up}) on these
+    quadrants instead of building [sigma] of the whole function: the
+    questions are decided where the quadrants lie
+    ({!Bdd.equal_cof2}, {!Bdd.leq_cof2}) and a closure is built in one
+    pass ({!Bdd.exchange_close}), so no cofactor is built.  Their
+    results are the same canonical BDDs as the [swap_rel] formulation.
+    The off-set is the complement of [up], so no complement is built.
+    Both treat [i = j] as never symmetrizable. *)
 
 val symmetrizable :
   Bdd.manager -> Isf.t list -> rel:bool -> int -> int -> bool
@@ -70,11 +72,10 @@ val symmetrizable :
     Exactly when every function has [on_a <= up_b] and [on_b <= up_a]
     (that is, [on_a /\ off_b = 0] and [on_b /\ off_a = 0]): on the fixed
     quadrants [on <= sigma(up)] is [on <= up], which always holds, and
-    on the moved ones it is these two inclusions.  Only the cofactors on
-    [x_i] are built (and memoized for every [j]); the quadrants on [x_j]
-    are compared where they lie, by {!Bdd.leq_cof}, or by
-    {!Bdd.equal_cof} for a completely specified function, where
-    [up = on] and the two inclusions say [on_a = on_b]. *)
+    on the moved ones it is these two inclusions.  Nothing is built:
+    {!Bdd.leq_cof2} decides each inclusion, or {!Bdd.equal_cof2} for a
+    completely specified function, where [up = on] and the two
+    inclusions say [on_a = on_b]. *)
 
 val symmetrize :
   Bdd.manager -> Isf.t list -> rel:bool -> int -> int -> Isf.t list option
@@ -83,17 +84,22 @@ val symmetrize :
     closure keeps the fixed quadrants and puts [u_on = on_a \/ on_b]
     (resp. [off_a \/ off_b], the complement of [u_up = up_a /\ up_b]) on
     both moved ones, so the result is [None] iff [u_on <= u_up] fails
-    for some function; otherwise each function is rebuilt by ITEs over
-    [x_i] and [x_j], with don't-care set [u_up /\ not u_on] on the moved
-    quadrants, and one whose moved quadrants already agree is returned
-    as it is. *)
+    for some function, which is the test of {!symmetrizable}; otherwise
+    each function becomes the interval ({!Isf.of_on_up}) between
+    {!Bdd.exchange_close} of its on-set under [\/] and of its [up] under
+    [/\], and one whose moved quadrants already agree is returned as it
+    is. *)
 
 (** {1 Step 1 of the paper's don't-care assignment} *)
 
 val close_group : Bdd.manager -> Isf.t list -> group -> Isf.t list option
 (** Commit the don't-care assignments that make every function of the
-    vector symmetric under all exchanges of the group (fixpoint of the
-    forced assignments); [None] if a conflict appears. *)
+    vector symmetric under all exchanges of the group; [None] if a
+    conflict appears.  It iterates {!symmetrize} over the group's chain,
+    each member with the next (the xor of their phases as relative
+    phase), to a fixpoint: the chain generates every exchange of the
+    group, so the fixpoint is the closure under all pairs, and a
+    conflict appears exactly when it would appear there. *)
 
 type result = { functions : Isf.t list; groups : group list }
 
@@ -107,9 +113,11 @@ val maximize :
   result
 (** Greedy group growing: repeatedly try to merge symmetry groups (over
     the given variables), assigning don't cares on success and keeping
-    every previously established symmetry (each merge re-closes the
-    group under all pair exchanges, which terminates because care sets
-    only grow).  [budget] bounds the number of attempted pair merges
+    every previously established symmetry (exchanges within disjoint
+    groups commute).  A merge is tried only when every cross pair is
+    {!symmetrizable}, and closes the merged group with {!close_group},
+    over its chain, which terminates because care sets only grow.
+    [budget] bounds the number of attempted pair merges
     (default 4000); [use_equivalence] enables phase-[true] merges
     (default true).  [check] (default a no-op) is polled before every
     merge attempt and may raise to abandon the pass — the resource

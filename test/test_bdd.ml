@@ -366,6 +366,26 @@ let table_tests =
           ids;
         check_int "DAG signature" 223586871698 signature;
         check_int "node_count" 6758 count);
+    Alcotest.test_case "two-variable operations check their variables" `Quick
+      (fun () ->
+        let m = Bdd.manager () in
+        let f = Bdd.xor m (Bdd.var m 0) (Bdd.var m 1) in
+        let rejected op =
+          match op () with _ -> false | exception Invalid_argument _ -> true
+        in
+        let eq i j () = Bdd.equal_cof2 m i j f false true f true false in
+        let le i j () = Bdd.leq_cof2 m i j f false true f true false in
+        let far = 1 lsl 31 in
+        check_bool "equal_cof2 on one variable" true (rejected (eq 1 1));
+        check_bool "leq_cof2 on one variable" true (rejected (le 0 0));
+        check_bool "exchange_close on one variable" true
+          (rejected (fun () -> Bdd.exchange_close m `Or f ~rel:false 1 1));
+        check_bool "a pair 2^31 apart" true (rejected (eq (far / 2) (-far / 2)));
+        check_bool "a variable below -2^31" true (rejected (le 0 (-far - 1)));
+        check_bool "a variable at 2^31" true (rejected (eq 5 far));
+        check_bool "the widest pair inside the range" false
+          (rejected (eq (-far) (-1)));
+        check_bool "x0 xor x1 is exchange-symmetric" true (eq 1 0 ()));
   ]
 
 (* A fresh manager pushed far past its initial unique-table and
@@ -505,9 +525,12 @@ let size_prop =
    and operands with one variable complemented or conjoined, whose
    cofactors meet across different bits; [v] runs from two levels
    above every top to two below every variable, so it falls above, at
-   and below the operands' tops and outside their supports.  Every
-   answer is taken before any restrict is built, and no answer may move
-   [node_count]. *)
+   and below the operands' tops and outside their supports.  The
+   two-variable decisions take every ordered pair [(i, j)] of distinct
+   variables from that range, so both orders, with four bits drawn per
+   pair of operands and variables, and are asked again with the pair
+   and the bits swapped.  Every answer is taken before any restrict is
+   built, and no answer may move [node_count]. *)
 let cofactor_decision_prop =
   prop "equal_cof and leq_cof agree with the built restricts" ~count:20
     QCheck2.Gen.(pair int (oneofl [ 0; -3 ]))
@@ -549,6 +572,35 @@ let cofactor_decision_prop =
               done)
             fs)
         fs;
+      let vars = List.init (n + 4) (fun k -> shift - 2 + k) in
+      let answers2 = ref [] in
+      Array.iteri
+        (fun x f ->
+          Array.iteri
+            (fun y g ->
+              List.iter
+                (fun i ->
+                  List.iter
+                    (fun j ->
+                      if i <> j then begin
+                        let bit () = Random.State.bool st in
+                        let a = bit () and b = bit () in
+                        let c = bit () and d = bit () in
+                        let before = Bdd.node_count m in
+                        let eq = Bdd.equal_cof2 m i j f a b g c d in
+                        let le = Bdd.leq_cof2 m i j f a b g c d in
+                        let eq' = Bdd.equal_cof2 m j i f b a g d c in
+                        let le' = Bdd.leq_cof2 m j i f b a g d c in
+                        answers2 :=
+                          ( (x, y, i, j, a, b, c, d),
+                            (eq, le),
+                            eq = eq' && le = le' && Bdd.node_count m = before )
+                          :: !answers2
+                      end)
+                    vars)
+                vars)
+            fs)
+        fs;
       (* The cofactor of table [t] on variable [v], as a table. *)
       let cof t v b =
         if v >= shift && v < shift + n then Bv.cofactor t (v - shift) b else t
@@ -562,7 +614,78 @@ let cofactor_decision_prop =
           && le = Bdd.leq m ra rb
           && eq = Bv.equal ta tb
           && le = Bv.is_zero (Bv.and_ ta (Bv.not_ tb)))
-        !answers)
+        !answers
+      && List.for_all
+           (fun ((x, y, i, j, a, b, c, d), (eq, le), consistent) ->
+             let r f i a j b = Bdd.restrict m (Bdd.restrict m f i a) j b in
+             let ra = r fs.(x) i a j b and rb = r fs.(y) i c j d in
+             let ta = cof (cof bvs.(x) i a) j b and tb = cof (cof bvs.(y) i c) j d in
+             consistent
+             && eq = Bdd.equal ra rb
+             && le = Bdd.leq m ra rb
+             && eq = Bv.equal ta tb
+             && le = Bv.is_zero (Bv.and_ ta (Bv.not_ tb)))
+           !answers2)
+
+(* [exchange_close] against the quadrant formula built from restricts
+   and ITEs: [f] on the fixed quadrants [(x_i, x_j) = (0, rel)] and
+   [(1, not rel)], [f_a op f_b] on the moved ones.  Operands and pairs
+   as in the decisions above: random tables, both constants and a lone
+   variable on [shift .. shift + 4], [i] and [j] in both orders from two
+   levels above the tops to two below every variable.  Each result is
+   closed under the exchange for both operations, so closing it again
+   returns it and builds no node. *)
+let exchange_close_prop =
+  prop "exchange_close equals the quadrant formula and is idempotent" ~count:20
+    QCheck2.Gen.(pair int (oneofl [ 0; -3 ]))
+    (fun (seed, shift) ->
+      let n = 5 in
+      let st = Random.State.make [| seed |] in
+      let m = Bdd.manager () in
+      let fs =
+        Array.append
+          (Array.init 4 (fun _ -> random_bv st n))
+          [| Bv.create n false; Bv.create n true; Bv.var n 2 |]
+        |> Array.map (fun bv -> Bdd.rename m (Bv.to_bdd m bv) (fun k -> k + shift))
+      in
+      let formula op f rel i j =
+        let q a b = Bdd.restrict m (Bdd.restrict m f i a) j b in
+        let u = op (q false (not rel)) (q true rel) in
+        let c = q false rel and d = q true (not rel) in
+        let vj = Bdd.var m j in
+        let lo = if rel then Bdd.ite m vj c u else Bdd.ite m vj u c in
+        let hi = if rel then Bdd.ite m vj u d else Bdd.ite m vj d u in
+        Bdd.ite m (Bdd.var m i) hi lo
+      in
+      let vars = List.init (n + 4) (fun k -> shift - 2 + k) in
+      Array.for_all
+        (fun f ->
+          List.for_all
+            (fun i ->
+              List.for_all
+                (fun j ->
+                  i = j
+                  || List.for_all
+                       (fun ((op, bop), rel) ->
+                         let g = Bdd.exchange_close m op f ~rel i j in
+                         let before = Bdd.node_count m in
+                         let closed =
+                           Bdd.exchange_close m `Or g ~rel i j == g
+                           && Bdd.exchange_close m `And g ~rel j i == g
+                         in
+                         closed
+                         && Bdd.node_count m = before
+                         && Bdd.equal g (Bdd.exchange_close m op f ~rel j i)
+                         && Bdd.equal g (formula (bop m) f rel i j))
+                       [
+                         ((`Or, Bdd.or_), false);
+                         ((`Or, Bdd.or_), true);
+                         ((`And, Bdd.and_), false);
+                         ((`And, Bdd.and_), true);
+                       ])
+                vars)
+            vars)
+        fs)
 
 (* [eval_cof] against the built restrict, evaluated at the assignment
    the word encodes: bit [u land 63] for variable [u].  The operands
@@ -614,4 +737,10 @@ let suite =
   @ List.map
       (fun p -> QCheck_alcotest.to_alcotest ~long:false p)
       (oracle_props
-       @ [ eviction_prop; size_prop; cofactor_decision_prop; eval_cof_prop ])
+       @ [
+           eviction_prop;
+           size_prop;
+           cofactor_decision_prop;
+           exchange_close_prop;
+           eval_cof_prop;
+         ])

@@ -258,6 +258,58 @@ module Oracle = struct
       | result, _ -> result
     in
     loop fs
+
+  (* [Symmetry.maximize]'s greedy with the default budget: scan the
+     groups' pairs and both phases in order, commit the first merge
+     whose cross pairs are symmetrizable and whose closure over all
+     pairs exists, and sort the groups at the end. *)
+  let maximize fs vars =
+    let budget = ref 4000 in
+    let merge fs g1 g2 q =
+      decr budget;
+      if
+        List.for_all
+          (fun (v, pv) ->
+            List.for_all
+              (fun (w, pw) -> symmetrizable fs ~rel:(pv <> (pw <> q)) v w)
+              g2)
+          g1
+      then
+        let merged = g1 @ List.map (fun (w, pw) -> (w, pw <> q)) g2 in
+        Option.map (fun fs' -> (fs', merged)) (close_group fs merged)
+      else None
+    in
+    let rec grow fs groups =
+      let n = List.length groups in
+      let attempts =
+        List.concat_map
+          (fun a ->
+            List.concat_map
+              (fun b -> [ (a, b, false); (a, b, true) ])
+              (List.init (n - a - 1) (fun k -> a + 1 + k)))
+          (List.init n Fun.id)
+      in
+      let rec first = function
+        | [] -> None
+        | (a, b, q) :: rest -> (
+            if !budget <= 0 then None
+            else
+              match merge fs (List.nth groups a) (List.nth groups b) q with
+              | Some (fs', merged) -> Some (fs', merged, a, b)
+              | None -> first rest)
+      in
+      match first attempts with
+      | None -> (fs, groups)
+      | Some (fs', merged, a, b) ->
+          grow fs' (merged :: List.filteri (fun k _ -> k <> a && k <> b) groups)
+    in
+    let fs', groups = grow fs (List.map (fun v -> [ (v, false) ]) vars) in
+    let groups =
+      groups
+      |> List.map (List.sort (fun (v, _) (w, _) -> compare v w))
+      |> List.sort (fun g1 g2 -> compare (fst (List.hd g1)) (fst (List.hd g2)))
+    in
+    (fs', groups)
 end
 
 let same_result a b =
@@ -353,6 +405,16 @@ let oracle_props =
         same_result
           (Symmetry.close_group man fs group)
           (Oracle.close_group fs group));
+    (* Merges of either phase, so groups mix nonequivalence and
+       equivalence pairs: closing each merge over its chain gives the
+       closure over all its pairs. *)
+    QCheck2.Test.make ~name:"maximize equals a greedy closing over all pairs"
+      ~count:100 gen_vector (fun (n, fs) ->
+        let vars = List.init n Fun.id in
+        let r = Symmetry.maximize man fs vars in
+        let fs', groups = Oracle.maximize fs vars in
+        r.Symmetry.groups = groups
+        && same_result (Some r.Symmetry.functions) (Some fs'));
   ]
 
 let suite =

@@ -38,6 +38,10 @@ let in_mono path = under "lib/mono" path
 let decide =
   "builds a BDD only to answer yes or no; ask Bdd.disjoint or Bdd.leq"
 
+let step1_cofactor =
+  "builds cofactor nodes that no closed function keeps; decide quadrants \
+   with Bdd.equal_cof2 or Bdd.leq_cof2 and close with Bdd.exchange_close"
+
 let window_stage =
   "the window stage has one home, Semantics.windows in lib/check; call \
    it (or Semantics.analyze_report) instead of a second copy"
@@ -104,6 +108,16 @@ let rules =
       pattern = "is_zero (Bdd.diff";
       scope = in_lib;
       why = decide;
+    };
+    {
+      pattern = "Bdd.restrict";
+      scope = under "lib/symmetry";
+      why = step1_cofactor;
+    };
+    {
+      pattern = "Isf.restrict";
+      scope = under "lib/symmetry";
+      why = step1_cofactor;
     };
     {
       pattern = "Complete_dc.analyze_node";
